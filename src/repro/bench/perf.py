@@ -352,7 +352,7 @@ def bench_pdes_transport(smoke: bool) -> Tuple[float, Dict[str, Any]]:
         """One echo child on one transport, timed in segments."""
 
         def __init__(self, use_rings: bool):
-            self.rings = ShmTransport(1) if use_rings else None
+            self.rings = ShmTransport(2) if use_rings else None
             self.parent, child = ctx.Pipe()
             rings = self.rings
             parent = self.parent
@@ -369,11 +369,9 @@ def bench_pdes_transport(smoke: bool) -> Tuple[float, Dict[str, Any]]:
                         if rings is None:
                             child.send(msg)
                         else:
-                            batch = recv_batch(rings.to_worker[0], msg)
+                            batch = recv_batch(rings.ring(0, 1), msg)
                             child.send(
-                                send_batch(
-                                    rings.from_worker[0], batch, scratch
-                                )
+                                send_batch(rings.ring(1, 0), batch, scratch)
                             )
                 except EOFError:
                     return
@@ -392,10 +390,9 @@ def bench_pdes_transport(smoke: bool) -> Tuple[float, Dict[str, Any]]:
                 self.parent.send(exports)
                 return len(self.parent.recv())
             self.parent.send(
-                send_batch(self.rings.to_worker[0], exports, self.scratch)
+                send_batch(self.rings.ring(0, 1), exports, self.scratch)
             )
-            return len(recv_batch(self.rings.from_worker[0],
-                                  self.parent.recv()))
+            return len(recv_batch(self.rings.ring(1, 0), self.parent.recv()))
 
         def segment(self, seg: int) -> float:
             t0 = time.perf_counter()

@@ -1,9 +1,10 @@
 """Parallel discrete-event simulation of one YGM run.
 
 Partitions the simulated machine's nodes across forked worker
-processes, advances them with a conservative window-barrier protocol
-(lookahead = the network model's minimum wire latency) and reassembles
-a result bit-identical to the serial :class:`~repro.core.YgmWorld`.
+processes, which advance with a conservative peer-to-peer window
+protocol (lookahead = the network model's minimum wire latency), and
+reassembles a result bit-identical to the serial
+:class:`~repro.core.YgmWorld`.
 See :mod:`repro.pdes.engine` for the protocol and EXPERIMENTS.md
 ("Parallel DES") for the derivation and the conformance battery.
 

@@ -1,66 +1,60 @@
-"""The conservative parallel-DES driver (window-barrier protocol).
+"""The conservative parallel-DES engine (peer-to-peer window protocol).
 
 One big simulation, partitioned by node across forked worker processes
 (:mod:`repro.pdes.worker`), each running the unchanged serial kernel
-over its node block.  The driver advances everyone in *windows*:
+over its node block.  The workers advance in *windows* and decide every
+window among themselves:
 
-1. every partition reports the timestamp of its earliest pending event;
-2. the driver computes each partition's earliest activity ``e_p`` (its
-   next event or earliest not-yet-injected import arrival) and hands
-   partition ``p`` the horizon ``H_p = min(A_p + L, e_p + K*L)``, where
-   ``A_p = min over other active partitions q of e_q``, the lookahead
-   ``L`` is the network model's
-   :attr:`~repro.machine.netmodel.NetworkModel.min_wire_latency`, and
-   ``K`` is the window-batch factor (``K = 1`` collapses every ``H_p``
-   to the classic common horizon ``t_min + L``);
-3. partitions process every event strictly below ``H_p``, *dynamically
-   clamped* by the worker's export hook: after the partition's first
-   export of the round at wire instant ``w`` it stops at ``w + 2L``
+1. at the end of a window each partition sends its exported packets
+   straight to the workers owning their destination ranks and publishes
+   a round header: next event, live ranks, and per destination the
+   earliest arrival among those packets;
+2. every worker applies the same pure rule to all headers
+   (:func:`~repro.pdes.worker.window_rule`): partition ``p``'s earliest
+   activity ``e_p`` gives ``H_p = min(A_p + L, e_p + K*L)``, with
+   ``A_p`` the minimum ``e_q`` over the other active partitions, ``L``
+   the lookahead (:attr:`~repro.machine.netmodel.NetworkModel.
+   min_wire_latency`) and ``K`` the window-batch factor (``K = 1``: the
+   common horizon ``t_min + L``; ``window_batch=0``, the default, adapts
+   it to the traffic);
+3. each partition injects its imports at bit-identical arrival
+   timestamps and processes every event strictly below ``H_p``,
+   *dynamically clamped* by its export hook: after the partition's first
+   export of the window at wire instant ``w`` it stops at ``w + 2L``
    (the earliest instant the outside world's reaction to that export
-   could arrive back), and after its first export *to itself* at ``w_s``
-   it stops at ``w_s + L`` (such a packet re-enters directly).  Any
-   import generated this round by another partition arrives at
+   could arrive back), and after its first export *to itself* at
+   ``w_s`` it stops at ``w_s + L`` (such a packet re-enters directly).
+   Any import generated this window by another partition arrives at
    ``>= A_p + L >= H_p``; chains that pass through this partition's own
    influence arrive ``>= w + 2L`` (or ``w_s + L``) -- so nothing a
    partition processes can precede an import it has yet to see
    (conservative synchronisation, no rollback), while a partition with
    no nearby neighbours or no outbound traffic runs up to ``K`` windows
-   between barriers;
-4. at the barrier, exported packets are routed to the partitions owning
-   their destination ranks and injected at bit-identical arrival
-   timestamps; repeat.  With ``window_batch=0`` (the default) ``K``
-   adapts to observed traffic: it doubles after an export-free round
-   and halves (to a floor of 1) after a round that exported, so chatty
-   phases run at the provably-tight single window while quiet phases
-   collapse barriers ~``K``-fold.
+   between exchanges.  With ``window_batch=0`` ``K`` doubles after an
+   export-free exchange and halves (to a floor of 1) after one that
+   exported, so chatty phases run at the provably-tight single window
+   while quiet phases collapse exchanges ~``K``-fold.
 
-Export batches cross process boundaries through the shared-memory ring
-transport (:mod:`repro.pdes.rings`) by default: the pipes carry only
-verbs, horizons and tiny batch descriptors while the packet bytes move
-through per-worker SPSC rings in the serde wire format
-(:mod:`repro.pdes.wire`) -- no pickling on the hot path.
-``PDES_TRANSPORT=pipe`` (or ``PdesWorld(transport="pipe")``) selects
-the legacy pickle-over-pipe path for differential testing.
+Batches move through :mod:`repro.pdes.rings`: shared-memory SPSC rings
+per worker pair in the pickle-free :mod:`repro.pdes.wire` format, and a
+per-pair pipe carrying one frame per window that announces the batch
+and wakes the peer.  ``PDES_TRANSPORT=pipe`` (``PdesWorld(transport=
+"pipe")``) runs the same loop with each batch pickled into its frame.
 
-A partition whose owned rank programs have all completed freezes at its
-local completion instant (the serial ``run_until_complete`` stop rule)
-and is excluded from the horizon computation; once *every* partition has
-completed, leftovers strictly below the global completion time
-``T_final = max(local finishes)`` -- events the serial run would still
-have processed while later-finishing ranks were live -- are drained,
-and per-rank results are aggregated into a normal
-:class:`~repro.core.context.YgmResult`.
-
-Global quiescence totals are audited across partitions: every mailbox's
-:attr:`~repro.core.mailbox.Mailbox.term_contribution` samples (one per
-rank) must sum to the termination detector's agreed global
-``last_totals`` -- the partition-composable identity the serial
-detector guarantees.
+The driver is off the per-window path: it forks and releases the
+workers, supervises them -- a stall (no new round header within
+``window_timeout``) names the partitions furthest behind and the
+congested rings, a crash the traceback or the dead worker's undelivered
+batches, a deadlock is the workers' common verdict -- and assembles the
+results.  A partition whose ranks all completed freezes at that instant
+(the serial ``run_until_complete`` rule); once all have, the events
+below ``T_final = max(local finishes)`` are drained, per-rank results
+merge into a :class:`~repro.core.context.YgmResult`, and per-mailbox
+quiescence contributions are audited against the agreed totals.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import time
@@ -74,16 +68,15 @@ from ..core.stats import aggregate
 from ..machine import MachineConfig, bench_machine
 from ..sim.errors import DeadlockError
 from .partition import NodePartition
-from .rings import RingError, ShmTransport, recv_batch, send_batch
+from .rings import RingError, ShmTransport, close_fds, merge_stats, open_pipes
 from .wire import decode_batch
 from .worker import (
     CMD_CLOCK,
-    CMD_FINISH,
-    CMD_STEP,
+    CMD_START,
     REP_CLOCK,
+    REP_DEADLOCK,
     REP_ERROR,
     REP_READY,
-    REP_REPORT,
     REP_RESULT,
     WorkerSpec,
     worker_main,
@@ -95,11 +88,13 @@ class PdesError(RuntimeError):
 
 
 class PdesStallError(PdesError):
-    """A worker failed to reach the window barrier within the timeout.
+    """Partitions stopped publishing round headers within the timeout.
 
-    ``detail`` names the congested ring(s) from the always-on
-    :class:`~repro.pdes.rings.RingStats` counters, so a stall verdict
-    says *where* the traffic was sitting, not just who went quiet.
+    ``stalled`` lists the partitions furthest behind (by the per-worker
+    round counters in the headers); ``detail`` names the congested
+    ring(s) from their occupancy and refusal counters, so a stall
+    verdict says *where* the traffic was sitting, not just who went
+    quiet.
     """
 
     def __init__(
@@ -108,8 +103,8 @@ class PdesStallError(PdesError):
     ):
         self.stalled = stalled
         super().__init__(
-            f"PDES partition(s) {stalled} stalled: no barrier report within "
-            f"{timeout:.1f}s (window round {round_no}); workers killed"
+            f"PDES partition(s) {stalled} stalled: no new round header "
+            f"within {timeout:.1f}s (window round {round_no}); workers killed"
             + detail
         )
 
@@ -173,9 +168,9 @@ class PdesWorld:
                 f"unknown PDES transport {transport!r} "
                 "(expected 'pipe' or 'shm')"
             )
-        #: Export-batch transport: ``"shm"`` ships batches through
-        #: shared-memory rings, ``"pipe"`` pickles them over the pipes
-        #: (the legacy path, kept for differential testing).
+        #: Export-batch transport: ``"shm"`` ships batches through the
+        #: shared-memory ring mesh, ``"pipe"`` pickles them into the peer
+        #: frames (the same window loop, kept for differential testing).
         self.transport = transport
         if window_batch is None:
             window_batch = int(os.environ.get("PDES_WINDOW_BATCH", "0"))
@@ -184,13 +179,13 @@ class PdesWorld:
                 f"window_batch must be >= 0 (0 selects the adaptive "
                 f"policy), got {window_batch}"
             )
-        #: Window-batch factor K; 0 = adaptive, 1 = the legacy common
-        #: horizon, k > 1 = up to k lookahead windows per barrier round.
+        #: Window-batch factor K; 0 = adaptive, 1 = the common horizon,
+        #: k > 1 = up to k lookahead windows per exchange.
         self.window_batch = window_batch
         self.ring_bytes = ring_bytes
         #: Flight-recorder spec (:class:`~repro.pdes.flight.FlightSpec`)
         #: or ``None``.  ``flight=True`` selects the default spec; off by
-        #: default, in which case workers run the bare serve loop and no
+        #: default, in which case workers run the bare window loop and no
         #: flight-recorder code executes anywhere on the window path.
         self.flight_spec = None
         if flight:
@@ -202,16 +197,17 @@ class PdesWorld:
         #: The merged :class:`~repro.pdes.flight.FlightLog` of the last
         #: flight-recorded :meth:`run`, or ``None``.
         self.flight_log = None
+        #: The run's shared segment (round headers + ring mesh).
         self._rings: Optional[ShmTransport] = None
-        self._scratch = bytearray()
         if tracer is not None:
             tracer.bind(
                 nodes=machine.nodes, cores_per_node=machine.cores_per_node
             )
-        #: Driver-side :class:`~repro.pdes.rings.RingStats` dicts of the
-        #: last shm run (``{"to_worker": [...], "from_worker": [...]}``),
-        #: captured at ring teardown so they stay readable post-run;
-        #: ``None`` before the first run or under the pipe transport.
+        #: :class:`~repro.pdes.rings.RingStats` dicts of the last shm
+        #: run (``{"to_worker": [...], "from_worker": [...]}``, see
+        #: :func:`_ring_stats`), gathered from the worker results so they
+        #: stay readable post-run; ``None`` before the first run, under
+        #: the pipe transport or with one worker.
         self.ring_stats: Optional[dict] = None
         #: Window-protocol counters of the last :meth:`run` (diagnostics).
         self.rounds = 0
@@ -231,14 +227,15 @@ class PdesWorld:
     def _spawn(self, rank_main) -> tuple:
         ctx = multiprocessing.get_context("fork")
         conns, procs = [], []
-        # The shared segment must exist before the fork: workers inherit
+        # Segment and pipes must exist before the fork: workers inherit
         # the one mapping (nothing is pickled, nothing re-attaches by
         # name), so only the driver's resource tracker registers it and
         # the single unlink in run()'s finally leaves it quiet.
-        rings = None
-        if self.transport == "shm" and self.nworkers > 1:
-            rings = ShmTransport(self.nworkers, self.ring_bytes)
-        self._rings = rings
+        self._rings = ShmTransport(
+            self.nworkers, self.ring_bytes, with_rings=self.transport == "shm"
+        )
+        pipes = open_pipes(self.nworkers)
+        log_windows = self.tracer is not None and self.tracer.wants("pdes")
         try:
             for p in range(self.nworkers):
                 parent, child = ctx.Pipe()
@@ -252,7 +249,10 @@ class PdesWorld:
                     rank_main=rank_main,
                     tiebreaker=self.tiebreaker,
                     transport=self.transport,
-                    rings=rings,
+                    segment=self._rings,
+                    pipes=pipes,
+                    window_batch=self.window_batch,
+                    log_windows=log_windows and p == 0,
                     flight=self.flight_spec,
                 )
                 proc = ctx.Process(
@@ -267,18 +267,15 @@ class PdesWorld:
             self._kill(procs)
             self._teardown_rings()
             raise
+        finally:
+            # Only workers keep pipe ends: a dead peer must read as EOF.
+            close_fds(fd for pair in pipes.values() for fd in pair)
         return conns, procs
 
     def _teardown_rings(self) -> None:
         rings, self._rings = self._rings, None
         if rings is None:
             return
-        # Keep the always-on driver-side counters readable after the
-        # segment is gone: `engine.ring_stats` is the post-run view.
-        self.ring_stats = {
-            "to_worker": [r.stats.as_dict() for r in rings.to_worker],
-            "from_worker": [r.stats.as_dict() for r in rings.from_worker],
-        }
         try:
             rings.close()
         except BufferError:  # pragma: no cover - leaked view; best effort
@@ -297,17 +294,21 @@ class PdesWorld:
                 proc.kill()
 
     def _recv(self, conns, procs, expect: str, round_no: int) -> List[tuple]:
-        """One reply per worker, stall- and error-checked.
+        """One reply per worker, stall-, error- and deadlock-checked.
 
         Waits on all outstanding pipes at once and drains whichever are
-        ready, so a stall verdict only ever names partitions that truly
-        sent nothing -- not ones whose reply merely sat unread behind a
-        slower sibling in the polling order.
+        ready, so a crash is attributed to the partition that truly
+        failed, not to whichever pipe came first in the polling order.
+        The stall clock restarts whenever a worker publishes a new round
+        header, so ``window_timeout`` bounds one window, not the run;
+        when it fires, the partitions whose last header is oldest are
+        named (``round_no``: the round to report before any header).
         """
         replies: List[Optional[tuple]] = [None] * len(conns)
         part_of = {id(conn): p for p, conn in enumerate(conns)}
         pending = set(range(len(conns)))
         deadline = time.monotonic() + self.window_timeout
+        seqs = self._rings.progress()
         eof: List[int] = []
         grace: Optional[float] = None
         while pending:
@@ -324,11 +325,16 @@ class PdesWorld:
             if not ready:
                 if eof:
                     break  # grace expired: report the silent deaths
-                stalled = sorted(pending)
-                detail = self._ring_stall_note(stalled)
+                now = self._rings.progress()
+                if now != seqs:  # the mesh still moves: restart the clock
+                    seqs, deadline = now, time.monotonic() + self.window_timeout
+                    continue
+                low = min(seqs[p] for p in pending)
+                stalled = sorted(p for p in pending if seqs[p] == low)
+                detail = self._ring_note(stalled)
                 self._kill(procs)
                 raise PdesStallError(
-                    stalled, self.window_timeout, round_no, detail
+                    stalled, self.window_timeout, max(low, round_no), detail
                 )
             errors = []
             for conn in ready:
@@ -341,9 +347,10 @@ class PdesWorld:
                     continue
                 if msg[0] == REP_ERROR:
                     errors.append(msg)
-                    pending.discard(p)
-                    continue
-                if msg[0] != expect:
+                elif msg[0] == REP_DEADLOCK:
+                    self._kill(procs)
+                    raise DeadlockError(msg[2], msg[3])
+                elif msg[0] != expect:
                     self._kill(procs)
                     raise PdesError(
                         f"PDES partition {p}: expected {expect!r} reply, "
@@ -366,42 +373,40 @@ class PdesWorld:
                 # in flight and must win the attribution.
                 grace = time.monotonic() + 1.0
         if eof:
-            self._kill(procs)
             parts = sorted(eof)
+            last = max(max(self._rings.progress()[p] for p in parts), round_no)
+            self._kill(procs)
             raise PdesError(
                 f"PDES partition(s) {parts} exited without a report "
-                f"(window round {round_no})" + self._ring_attribution(parts)
+                f"(window round {last})" + self._ring_note(parts, drain=True)
             ) from None
         return replies  # type: ignore[return-value]
 
-    def _ring_stall_note(self, parts: List[int]) -> str:
-        """Name a stalled partition's congested rings (RingStats).
-
-        Read *before* killing the workers so the shared head/tail
-        counters still reflect the stall.  The import ring's high-water
-        and spill counters are driver-side (the driver produces into
-        it); the export ring's producer counters live in the worker, so
-        only its live occupancy is reported here.
-        """
-        rings = self._rings
-        if rings is None:
-            return ""
+    def _ring_note(self, parts: List[int], drain: bool = False) -> str:
+        """Name the rings where ``parts``' traffic sits: congested import
+        and export rings (a stall, read before the kill), or with
+        ``drain`` the batches dead partitions left behind, drained and
+        counted (never injected: their window never completed)."""
+        mesh = self._rings.mesh
         notes = []
         for p in parts:
-            imp = rings.to_worker[p]
-            ist = imp.stats
-            if imp.used or ist.spills or ist.high_water:
-                notes.append(
-                    f"; partition {p} import ring: {imp.used} byte(s) "
-                    f"unread of {imp.capacity} (high-water "
-                    f"{ist.high_water}, {ist.spills} spill(s))"
-                )
-            exp = rings.from_worker[p]
-            if exp.used:
-                notes.append(
-                    f"; partition {p} export ring: {exp.used} byte(s) "
-                    f"undelivered of {exp.capacity}"
-                )
+            outs = [r for r in mesh[p] if r is not None]
+            if drain:
+                notes.append(_drain_note(p, outs))
+                continue
+            for q in range(self.nworkers):
+                imp, exp = mesh[q][p], mesh[p][q]
+                if imp is not None and (imp.used or imp.refusals):
+                    notes.append(
+                        f"; partition {p} import ring from partition {q}: "
+                        f"{imp.used} byte(s) unread of {imp.capacity} "
+                        f"({imp.refusals} spill(s))"
+                    )
+                if exp is not None and exp.used:
+                    notes.append(
+                        f"; partition {p} export ring to partition {q}: "
+                        f"{exp.used} byte(s) undelivered of {exp.capacity}"
+                    )
         return "".join(notes)
 
     def _clock_sync(self, conns, procs) -> List[float]:
@@ -436,86 +441,11 @@ class PdesWorld:
             offsets.append(estimate_offset(probes))
         return offsets
 
-    def _ring_attribution(self, parts: List[int]) -> str:
-        """Describe what a dead worker left sitting in its export ring.
-
-        A non-empty ``from_worker`` ring means the worker died *after*
-        encoding its window exports but *before* its report reached the
-        barrier -- the batches are drained (never routed: their window
-        never completed) and counted so the error names how much traffic
-        the dead partition was holding.
-        """
-        if self._rings is None:
-            return ""
-        notes = []
-        for p in parts:
-            ring = self._rings.from_worker[p]
-            batches = msgs = 0
-            while True:
-                try:
-                    data = ring.begin_pop()
-                except RingError:
-                    break
-                try:
-                    msgs += len(decode_batch(data))
-                    batches += 1
-                except Exception:  # truncated by the crash mid-encode
-                    notes.append(
-                        f"; partition {p} left a corrupt batch in its "
-                        f"export ring"
-                    )
-                    break
-                finally:
-                    if type(data) is memoryview:
-                        data.release()
-                ring.commit_pop()
-            if batches:
-                notes.append(
-                    f"; partition {p} left {batches} undelivered export "
-                    f"batch(es) ({msgs} message(s)) in its ring"
-                )
-            elif ring.used > 0:
-                notes.append(
-                    f"; partition {p} left {ring.used} unread byte(s) "
-                    f"(partial batch) in its export ring"
-                )
-        return "".join(notes)
-
-    # -- export-batch transport --------------------------------------------
-    def _ship(self, p: int, batch: List[tuple]):
-        """Driver -> worker: returns what to put on the pipe for ``batch``."""
-        rings = self._rings
-        if rings is None:
-            return batch
-        desc = send_batch(rings.to_worker[p], batch, self._scratch)
-        if desc[0] == "spill":
-            self.spilled_batches += 1
-        return desc
-
-    def _fetch(self, p: int, desc) -> List[tuple]:
-        """Worker -> driver: materialise a report's export batch."""
-        rings = self._rings
-        if rings is None:
-            return desc
-        if desc[0] == "spill":
-            self.spilled_batches += 1
-        return recv_batch(rings.from_worker[p], desc)
-
-    # -- the window-barrier protocol ---------------------------------------
+    # -- the run -------------------------------------------------------------
     def run(self, rank_main: Callable[..., Generator]) -> YgmResult:
         """Run ``rank_main(ctx)`` on every rank, partitioned; returns the
         same :class:`YgmResult` the serial ``YgmWorld.run`` would."""
-        nparts = self.nworkers
-        lookahead = self.lookahead
-        delay_of = self.machine_config.net.packet_costs
-        owner_of_rank = self.partition.owner_of_rank
-        tracer = self.tracer
-        self.rounds = 0
-        self.exported_packets = 0
-        self.spilled_batches = 0
-        self.max_window_batch = 1
-
-        self.flight_log = None
+        self.flight_log = self.ring_stats = None
         conns, procs = self._spawn(rank_main)
         fl = None
         offsets: List[float] = []
@@ -526,163 +456,17 @@ class PdesWorld:
 
                 offsets = self._clock_sync(conns, procs)
                 fl = DriverFlight()
-            pending: List[List[tuple]] = [[] for _ in range(nparts)]
-
-            def step_all(horizons, drain: bool, k: int = 1) -> List[tuple]:
-                if fl is not None:
-                    t0 = perf_counter()
-                    spills0 = self.spilled_batches
-                for p, conn in enumerate(conns):
-                    batch, pending[p] = pending[p], []
-                    conn.send(
-                        (CMD_STEP, horizons[p], self._ship(p, batch), drain)
-                    )
-                if fl is not None:
-                    t1 = perf_counter()
-                    fl.span("re-inject", t0, t1 - t0, self.rounds)
-                reports = self._recv(conns, procs, REP_REPORT, self.rounds)
-                n_exports = 0
-                for rep in reports:
-                    exports = self._fetch(rep[1], rep[2])
-                    self.exported_packets += len(exports)
-                    n_exports += len(exports)
-                    for exp in exports:
-                        pending[owner_of_rank(exp[2])].append(exp)
-                if fl is not None:
-                    t2 = perf_counter()
-                    # fan-in includes the wait for barrier reports: that
-                    # *is* the cost of the single-threaded fan-in design.
-                    fl.span("fan-in", t1, t2 - t1, self.rounds)
-                    fl.sample_round(
-                        self.rounds, self._rings, k, n_exports,
-                        self.spilled_batches - spills0,
-                    )
-                return reports
-
-            # Round 0: report-only (no horizon), to learn initial t_min.
-            reports = step_all([None] * nparts, drain=False)
-
-            batch_k = self.window_batch if self.window_batch > 0 else 1
-            adaptive = self.window_batch == 0
-            while True:
-                if fl is not None:
-                    t_h = perf_counter()
-                remaining = {rep[1]: rep[4] for rep in reports}
-                if sum(remaining.values()) == 0:
-                    break
-                # Earliest activity e_p per *active* partition: its next
-                # local event or earliest not-yet-injected import.
-                # Completed partitions are frozen at their finish
-                # instant -- their leftovers are post-completion chains
-                # that cannot export (a packet's wire instant never
-                # trails its sender's finish), so they are deferred to
-                # the final drain rather than allowed to pin the horizon
-                # forever.
-                nxt: Dict[int, float] = {}
-                for rep in reports:
-                    p = rep[1]
-                    if remaining[p] <= 0:
-                        continue
-                    cands = [
-                        exp[0] + delay_of(exp[3])[1] for exp in pending[p]
-                    ]
-                    if rep[3] is not None:
-                        cands.append(rep[3])
-                    if cands:
-                        nxt[p] = min(cands)
-                if not nxt:
-                    blocked = sum(remaining.values())
-                    latest = max(rep[6] for rep in reports)
-                    raise DeadlockError(blocked, latest)
-                t_min = min(nxt.values())
-                base = math.inf if nparts == 1 else t_min + lookahead
-                if nparts == 1 or batch_k <= 1:
-                    horizons = [base] * nparts
-                else:
-                    # Batched per-partition horizons: everything below
-                    # min(A_p + L, e_p + K*L) is provably independent of
-                    # this round's other windows *given* the workers'
-                    # dynamic first-export clamp (see the module
-                    # docstring for the two-hop reflection argument).
-                    # K = 1 reduces exactly to the common base horizon.
-                    horizons = []
-                    for p in range(nparts):
-                        e_p = nxt.get(p)
-                        if e_p is None:
-                            horizons.append(base)
-                            continue
-                        a_p = min(
-                            (e for q, e in nxt.items() if q != p),
-                            default=math.inf,
-                        )
-                        horizons.append(
-                            min(a_p + lookahead, e_p + batch_k * lookahead)
-                        )
-                self.rounds += 1
-                if batch_k > self.max_window_batch:
-                    self.max_window_batch = batch_k
-                if fl is not None:
-                    fl.span(
-                        "horizon", t_h, perf_counter() - t_h, self.rounds
-                    )
-                spills_before = self.spilled_batches
-                reports = step_all(horizons, drain=False, k=batch_k)
-                n_exports = sum(len(b) for b in pending)
-                k_used = batch_k
-                if adaptive and nparts > 1:
-                    # Volume-driven K: double after an export-free round
-                    # (quiet phase -- barriers are pure overhead), halve
-                    # after an exporting round, collapse to 1 the moment
-                    # a batch outgrew its ring.
-                    if self.spilled_batches > spills_before:
-                        batch_k = 1
-                    elif n_exports == 0:
-                        batch_k = min(batch_k * 2, 512)
-                    else:
-                        batch_k = max(1, batch_k // 2)
-                if tracer is not None and tracer.wants("pdes"):
-                    tracer.instant(
-                        t_min, "pdes", "window", "pdes driver",
-                        round=self.rounds, horizon=base,
-                        batch=k_used,
-                        active=sum(1 for r in remaining.values() if r > 0),
-                        exports=n_exports,
-                    )
-                    for rep in reports:
-                        tracer.instant(
-                            rep[6], "pdes", "barrier", f"partition {rep[1]}",
-                            round=self.rounds, next_t=rep[3],
-                            remaining=rep[4], steps=rep[7],
-                        )
-
-            # -- final drain: the serial run keeps popping events until
-            # the globally-last rank finishes; replay that tail.
-            t_final = max(rep[5] for rep in reports)
-            while True:
-                self.rounds += 1
-                reports = step_all([t_final] * nparts, drain=True)
-                busy = any(
-                    rep[3] is not None and rep[3] < t_final for rep in reports
-                )
-                if not busy and not any(pending):
-                    break
-            if tracer is not None and tracer.wants("pdes"):
-                tracer.instant(
-                    t_final, "pdes", "complete", "pdes driver",
-                    rounds=self.rounds, exported=self.exported_packets,
-                )
-
-            if fl is not None:
-                t_f = perf_counter()
             for conn in conns:
-                conn.send((CMD_FINISH,))
+                conn.send((CMD_START,))
             if fl is not None:
-                t_f1 = perf_counter()
-                fl.span("re-inject", t_f, t_f1 - t_f, self.rounds)
-            results = self._recv(conns, procs, REP_RESULT, self.rounds)
+                t_go = perf_counter()
+                fl.span("start", fl.t_start, t_go - fl.t_start, 0)
+                t_wait = perf_counter()
+            # The whole run happens here, among the workers.
+            parts = [rep[2] for rep in self._recv(conns, procs, REP_RESULT, 0)]
             if fl is not None:
                 fl.t_end = perf_counter()
-                fl.span("fan-in", t_f1, fl.t_end - t_f1, self.rounds)
+                fl.span("fan-in", t_wait, fl.t_end - t_wait, 0)
         finally:
             self._kill(procs)
             for conn in conns:
@@ -695,16 +479,22 @@ class PdesWorld:
             # the run and the resource tracker stays quiet.
             self._teardown_rings()
 
-        result = self._assemble([rep[2] for rep in results])
+        # Same rule, same headers: partition 0's window counters stand for all.
+        first = parts[0]
+        self.rounds = first["rounds"]
+        self.exported_packets = first["exported_packets"]
+        self.spilled_batches = first["spilled_batches"]
+        self.max_window_batch = first["max_window_batch"]
+        self.ring_stats = _ring_stats([part["ring"] for part in parts])
+        for ts, name, track, args in first["log"] or ():
+            self.tracer.instant(ts, "pdes", name, track, **args)
+        result = self._assemble(parts)
         if fl is not None:
             from .flight import FlightLog
 
-            snaps = sorted(
-                (rep[2]["flight"] for rep in results), key=lambda s: s["part"]
-            )
             self.flight_log = FlightLog(
                 driver=fl,
-                workers=snaps,
+                workers=[part["flight"] for part in parts],
                 offsets=offsets,
                 meta={
                     "workers": self.nworkers,
@@ -720,13 +510,13 @@ class PdesWorld:
                     "elapsed_sim": result.elapsed,
                 },
             )
-            if tracer is not None:
+            if self.tracer is not None:
                 # Worker simulated-time events + progress samples join
                 # the driver tracer (rank/NIC lanes are partition-
                 # disjoint): metrics and Chrome exports then cover the
                 # whole run, with per-process wall-clock rows tagged by
                 # the rank_group column.
-                self.flight_log.merge_into_tracer(tracer)
+                self.flight_log.merge_into_tracer(self.tracer)
         return result
 
     # -- result assembly ---------------------------------------------------
@@ -814,6 +604,55 @@ class PdesWorld:
                     f"({slot['sent']}, {slot['recv']}) != agreed totals "
                     f"{tuple(slot['totals'])}"
                 )
+
+
+def _drain_note(p: int, rings) -> str:
+    """Drain and count what dead partition ``p`` left in its rings."""
+    batches = msgs = 0
+    for ring in rings:
+        ring.resync()  # a third-party reader takes the consumer position
+        while True:
+            try:
+                data = ring.begin_pop()
+            except RingError:
+                break
+            try:
+                msgs += len(decode_batch(data))
+            except Exception:  # truncated by the crash mid-encode
+                return f"; partition {p} left a corrupt batch in its export ring"
+            finally:
+                if type(data) is memoryview:
+                    data.release()
+            batches += 1
+            ring.commit_pop()
+    if batches:
+        return (
+            f"; partition {p} left {batches} undelivered export batch(es) "
+            f"({msgs} message(s)) in its rings"
+        )
+    left = sum(ring.used for ring in rings)
+    if left:
+        return (
+            f"; partition {p} left {left} unread byte(s) (partial batch) in "
+            f"its export ring"
+        )
+    return ""
+
+
+def _ring_stats(ends: List[Optional[dict]]) -> Optional[dict]:
+    """Per-worker views of every ring endpoint's counters:
+    ``from_worker[p]`` merges both ends of the rings ``p`` produces
+    into, ``to_worker[p]`` both ends of the rings it consumes."""
+    if any(end is None for end in ends):
+        return None
+    flat = [(key, st) for end in ends for key, st in end.items()]
+    return {
+        name: [
+            merge_stats([st for key, st in flat if key[side] == p])
+            for p in range(len(ends))
+        ]
+        for name, side in (("from_worker", 0), ("to_worker", 1))
+    }
 
 
 def run_pdes(

@@ -5,19 +5,21 @@ tracer lives and dies inside the worker process.  The flight recorder
 closes that blind spot.  When enabled (``PdesWorld(flight=True)``):
 
 * every **worker** buffers per-window *phase spans* on its own monotonic
-  clock -- ``barrier-wait`` (blocked on the control pipe),
-  ``import-drain`` (descriptor decode + injection), ``compute`` (the
+  clock, one cause per bucket (:data:`WORKER_PHASES`): ``import-drain``
+  (fetching the batches peers announced + injection), ``compute`` (the
   unchanged serial kernel pumping events), ``export-serialize`` (the
-  columnar wire encode) and ``ring-push`` (the SPSC push / report send)
-  -- plus a full in-worker :class:`~repro.trace.Tracer` over the
-  simulated stack (mailbox/transport/NIC events on the *simulated*
-  clock, kernel progress samples on the worker's wall clock);
-* the **driver** interleaves its own spans -- ``horizon`` (window
-  horizon computation incl. the adaptive-K decision), ``re-inject``
-  (routing + shipping import batches) and ``fan-in`` (waiting on
-  barrier reports + materialising export batches) -- and samples
-  per-round ring telemetry (occupancy, spill and byte counters from the
-  always-on :class:`~repro.pdes.rings.RingStats`);
+  columnar wire encode, or the pickle under the pipe transport),
+  ``ring-push`` (the SPSC pushes), ``peer-signal`` (storing the round
+  header and writing the peer frames), ``barrier-wait`` (waiting for
+  every peer's frame) and ``horizon`` (the window rule) -- plus
+  per-exchange ring telemetry (byte volumes, occupancy, spills from the
+  always-on :class:`~repro.pdes.rings.RingStats`) and a full in-worker
+  :class:`~repro.trace.Tracer` over the simulated stack
+  (mailbox/transport/NIC events on the *simulated* clock, kernel
+  progress samples on the worker's wall clock);
+* the **driver** records ``start`` (releasing the workers) and
+  ``fan-in`` (waiting for their results): it does no per-window work,
+  so its fan-in spans the whole run;
 * worker buffers are streamed back **out of band**: they ride the
   control pipe piggybacked on the final ``REP_RESULT`` message, never
   through the data rings, so recording cannot perturb the export plane;
@@ -29,42 +31,45 @@ closes that blind spot.  When enabled (``PdesWorld(flight=True)``):
 
 The merger emits one unified Chrome trace (one process-group per worker
 plus one for the driver, all on the host wall-clock axis, alongside the
-usual simulated-time groups), a per-round ring telemetry series, and
+usual simulated-time groups), a per-exchange ring telemetry series, and
 the schema-versioned overhead **attribution** document rendered by
 :mod:`repro.trace.pdes_report` (CLI:
 ``python -m repro.bench pdes --attribute``).
 
-Cost discipline (same as PR 1's tracer): with recording off the worker
-hot path pays exactly one cached-attribute check
-(``PartitionRuntime.step`` loads ``self.flight`` once) and the
-per-event pump loop is untouched; recording on only *reads* simulated
-state and appends to process-local buffers, so the run stays
-bit-identical (``tests/pdes/test_flight.py`` enforces both).
+Cost discipline (same as PR 1's tracer): with recording off the window
+loop runs no recorder code at all -- the worker checks ``flight`` once
+at construction and only then wraps its phases
+(:meth:`WorkerFlight.instrument`) -- and the per-event pump loop is
+untouched; recording on only *reads* simulated state and appends to
+process-local buffers, so the run stays bit-identical
+(``tests/pdes/test_flight.py`` enforces both).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-#: Worker wall-clock phase buckets, in pipeline order.  Together they
-#: tile a worker's serve-loop span (the attribution report asserts
-#: >= 95% coverage; the remainder is loop bookkeeping between clock
-#: reads).
+from .rings import merge_stats
+
+#: Worker wall-clock phase buckets, in the order of
+#: ``PartitionRuntime.phases``.  Together they tile a worker's window
+#: loop (the attribution report asserts >= 95% coverage; the remainder
+#: is loop bookkeeping between clock reads).
 WORKER_PHASES = (
+    "import-drain",
     "compute",
     "export-serialize",
     "ring-push",
+    "peer-signal",
     "barrier-wait",
-    "import-drain",
+    "horizon",
 )
 
-#: Driver wall-clock phase buckets.  ``fan-in`` includes the wait for
-#: barrier reports -- on a single-CPU host that *is* the cost of the
-#: driver's single-threaded fan-in design, which is exactly the number
-#: the ROADMAP asks for.
-DRIVER_PHASES = ("horizon", "fan-in", "re-inject")
+#: Driver wall-clock phase buckets: releasing the workers, then waiting
+#: for their results (the driver does no per-window work).
+DRIVER_PHASES = ("start", "fan-in")
 
 #: Clock-handshake probes per worker; the minimum-RTT probe wins.
 CLOCK_PROBES = 5
@@ -116,40 +121,99 @@ class WorkerFlight:
     """A worker's buffered recorder (lives in the worker process).
 
     Appends ``(phase, t_start, dur, round)`` span tuples -- worker
-    monotonic clock -- to a plain list.  Nothing here touches the data
-    rings or the simulation; the buffer ships back with the final
-    ``REP_RESULT``.
+    monotonic clock -- and one ring-telemetry row per exchange to plain
+    lists.  Nothing here touches the data rings or the simulation; the
+    buffers ship back with the final ``REP_RESULT``.
     """
 
-    __slots__ = ("part", "spans", "round", "tracer", "t0")
+    __slots__ = ("part", "spans", "rows", "round", "tracer", "t0")
 
     def __init__(self, part: int, tracer=None):
         self.part = part
         self.spans: List[Tuple[str, float, float, int]] = []
-        #: Window round the next spans belong to (round 0 is the
-        #: report-only round; clock-handshake waits land on round 0 too).
+        self.rows: List[dict] = []
+        #: Window exchange the next spans belong to (exchange 0 is the
+        #: report-only one: no horizon yet).
         self.round = 0
         #: The in-worker :class:`~repro.trace.Tracer`, or ``None``.
         self.tracer = tracer
         self.t0 = perf_counter()
 
-    def span(self, phase: str, t_start: float, dur: float) -> None:
-        self.spans.append((phase, t_start, dur, self.round))
+    def instrument(self, runtime, phases: tuple) -> tuple:
+        """Wrap ``runtime``'s window phases (in :data:`WORKER_PHASES`
+        order) with span timing: the only place the loop meets a clock.
+        Each span starts with its own clock read, so what the buckets
+        miss (loop overhead, the wrapper, the samples taken between
+        spans) stays visible as lost coverage."""
+        pc = perf_counter
+        spans = self.spans
+        sim = runtime.sim
+        samples = self.tracer.progress_samples if self.tracer else None
+        seg, part, peers = runtime.segment, runtime.part, runtime.peers
+        out_rings = [seg.ring(part, q) for q in peers if seg.ring(part, q)]
+        in_rings = [seg.ring(q, part) for q in peers if seg.ring(q, part)]
+        to = [seg.ring(part, q) for q in range(runtime.nparts)]
+
+        def sample_progress():
+            # One progress sample per window: small workers may never hit
+            # the kernel's sampling stride, and the rank_group metrics
+            # rows need >= 2 samples per worker.
+            samples.append((sim.now, sim.steps, pc()))
+
+        prev = [0, 0, 0, 0]  # exported, spilled, bytes pushed, popped
+
+        def sample_rings():
+            pushed = sum(r.stats.bytes_pushed for r in out_rings)
+            popped = sum(r.stats.bytes_popped for r in in_rings)
+            exported, spilled = runtime.exported_packets, runtime.spilled_batches
+            self.rows.append({
+                "round": self.round,
+                "t": pc(),
+                "k": runtime.k,
+                "exports": exported - prev[0],
+                "spills": spilled - prev[1],
+                "export_bytes": pushed - prev[2],
+                "import_bytes": popped - prev[3],
+                "occupancy": sum(r.used for r in out_rings),
+                # Cumulative refused pushes per destination partition.
+                "spilled_to": [r.stats.spills if r else 0 for r in to],
+            })
+            prev[:] = exported, spilled, pushed, popped
+            self.round += 1
+
+        def timed(name, fn, after):
+            def run():
+                t0 = pc()
+                out = fn()
+                spans.append((name, t0, pc() - t0, self.round))
+                if after is not None:
+                    after()
+                return out
+
+            return run
+
+        after = [None] * len(phases)
+        after[1] = sample_progress if samples is not None else None
+        after[-1] = sample_rings
+        return tuple(map(timed, WORKER_PHASES, phases, after))
 
     def snapshot(self, runtime) -> dict:
         """Everything the driver-side merger needs, all picklable."""
         tracer = self.tracer
-        tx = getattr(runtime, "_tx", None)
-        rx = getattr(runtime, "_rx", None)
+        ends = runtime.ring_endpoints()
+        ring = {"exports": None, "imports": None}
+        if ends is not None:
+            for name, side in (("exports", 0), ("imports", 1)):
+                ring[name] = merge_stats(
+                    [st for key, st in ends.items() if key[side] == self.part]
+                )
         return {
             "part": self.part,
             "t0": self.t0,
             "spans": list(self.spans),
+            "rows": list(self.rows),
             "steps": runtime.sim.steps,
-            "ring": {
-                "exports": tx.stats.as_dict() if tx is not None else None,
-                "imports": rx.stats.as_dict() if rx is not None else None,
-            },
+            "ring": ring,
             "progress": list(tracer.progress_samples) if tracer else [],
             "trace_events": (
                 [tuple(ev) for ev in tracer.events] if tracer else []
@@ -158,52 +222,17 @@ class WorkerFlight:
 
 
 class DriverFlight:
-    """The driver's span buffer and per-round ring telemetry sampler."""
+    """The driver's span buffer."""
 
-    __slots__ = ("spans", "rounds", "t_start", "t_end", "_popped", "_pushed")
+    __slots__ = ("spans", "t_start", "t_end")
 
     def __init__(self) -> None:
         self.spans: List[Tuple[str, float, float, int]] = []
-        #: Per-round telemetry rows (dicts; see :meth:`sample_round`).
-        self.rounds: List[dict] = []
         self.t_start = perf_counter()
         self.t_end = self.t_start
-        self._popped = 0
-        self._pushed = 0
 
     def span(self, phase: str, t_start: float, dur: float, rnd: int) -> None:
         self.spans.append((phase, t_start, dur, rnd))
-
-    def sample_round(self, rnd: int, rings, k: int, exports: int,
-                     spills: int) -> None:
-        """One ring-telemetry row at the barrier of round ``rnd``.
-
-        Occupancy is read live from the shared counters; byte/batch
-        volumes are per-round deltas of the driver-side
-        :class:`~repro.pdes.rings.RingStats` (exact: the driver pops
-        every export batch and pushes every import batch).
-        """
-        row = {
-            "round": rnd,
-            "t": perf_counter(),
-            "k": k,
-            "exports": exports,
-            "spills": spills,
-        }
-        if rings is not None:
-            popped = sum(r.stats.bytes_popped for r in rings.from_worker)
-            pushed = sum(r.stats.bytes_pushed for r in rings.to_worker)
-            row["export_bytes"] = popped - self._popped
-            row["import_bytes"] = pushed - self._pushed
-            row["batches"] = sum(r.stats.pops for r in rings.from_worker)
-            row["occupancy"] = [r.used for r in rings.from_worker]
-            self._popped, self._pushed = popped, pushed
-        self.rounds.append(row)
-
-    def rounds_rel(self) -> List[dict]:
-        """Ring-telemetry rows with ``t`` relative to the flight epoch."""
-        t0 = self.t_start
-        return [{**row, "t": row["t"] - t0} for row in self.rounds]
 
 
 @dataclass
@@ -227,6 +256,23 @@ class FlightLog:
             (phase, t - off, dur, rnd)
             for phase, t, dur, rnd in self.workers[part]["spans"]
         ]
+
+    def rounds(self) -> List[dict]:
+        """Per-exchange ring telemetry merged across workers: global
+        ``k``/``exports``/``spills``, summed byte volumes, each worker's
+        undrained export bytes, and ``t`` -- when the last worker
+        finished the exchange, in seconds since the flight epoch."""
+        out = []
+        for rows in zip(*(snap["rows"] for snap in self.workers)):
+            row = {key: rows[0][key] for key in ("round", "k", "exports", "spills")}
+            row["t"] = max(
+                r["t"] - self.offsets[p] for p, r in enumerate(rows)
+            ) - self.driver.t_start
+            for key in ("export_bytes", "import_bytes"):
+                row[key] = sum(r[key] for r in rows)
+            row["occupancy"] = [r["occupancy"] for r in rows]
+            out.append(row)
+        return out
 
     # -- attribution -------------------------------------------------------
     @staticmethod
@@ -255,10 +301,11 @@ class FlightLog:
         fraction*: the share of the run's wall-clock span that went to
         ``compute`` -- event processing a serial run would also have
         done -- summed across workers.  Everything above it is the
-        partitioning overhead (serialization, ring traffic, barriers,
-        driver fan-in); on a single-CPU host the fraction is bounded by
-        ``1 / nworkers`` plus timeslicing, which the report makes
-        visible instead of leaving to folklore.
+        partitioning overhead (serialization, ring traffic, peer
+        signalling, waiting for peers); with fewer cores than workers
+        the fraction is bounded by ``cores / nworkers`` plus
+        timeslicing, which the report makes visible instead of leaving
+        to folklore.
         """
         from ..trace.pdes_report import SCHEMA
 
@@ -283,7 +330,7 @@ class FlightLog:
             "meta": dict(self.meta),
             "driver": {**drv, "wall_s": wall},
             "workers": workers,
-            "rounds": list(self.driver.rounds_rel()),
+            "rounds": self.rounds(),
             "serial_equivalent": {
                 "compute_s": compute_total,
                 "wall_s": wall,
@@ -299,7 +346,7 @@ class FlightLog:
         (``DriverFlight.t_start``), so the groups interleave correctly
         after clock alignment.  Appended to the simulated-time groups of
         :func:`repro.trace.chrome.to_chrome_events` this is the one
-        unified trace the tentpole asks for.
+        unified trace the report links.
         """
         t0 = self.driver.t_start
         out: List[dict] = [
@@ -308,11 +355,11 @@ class FlightLog:
         ]
         for phase, t, dur, rnd in self.driver.spans:
             out.append(_span(PID_FLIGHT_DRIVER, phase, t - t0, dur, rnd))
-        for row in self.driver.rounds:
+        for row in self.rounds():
             out.append({
                 "name": "ring export bytes", "cat": "pdes-flight", "ph": "C",
-                "ts": (row["t"] - t0) * 1e6, "pid": PID_FLIGHT_DRIVER,
-                "tid": 0, "args": {"value": row.get("export_bytes", 0)},
+                "ts": row["t"] * 1e6, "pid": PID_FLIGHT_DRIVER,
+                "tid": 0, "args": {"value": row["export_bytes"]},
             })
         for snap in self.workers:
             p = snap["part"]

@@ -10,22 +10,42 @@ owned ranks and installs the machine's ``on_remote_export`` hook, so:
   mailbox routing, same-node fast paths) runs through the unchanged
   serial kernel;
 * a packet bound for a foreign rank is captured at its packet-on-wire
-  instant and shipped to the driver instead of being simulated in
-  flight; the owning partition replays the arrival at the bit-identical
-  timestamp via :meth:`~repro.machine.topology.Machine.inject_arrival`.
+  instant and shipped to the owning partition instead of being
+  simulated in flight; that partition replays the arrival at the
+  bit-identical timestamp via
+  :meth:`~repro.machine.topology.Machine.inject_arrival`.
 
-The worker is driven round by round over a pipe (see
-:mod:`repro.pdes.engine` for the window-barrier protocol).  Forking --
-not spawning -- matters: rank programs are closures that never need to
-be pickled; only per-window packet batches cross the pipe.
+The workers run the window protocol of :mod:`repro.pdes.engine` among
+themselves.  Each *exchange* (one per window) is seven phases, the
+flight recorder's buckets:
+
+1. ``import-drain`` -- fetch the batches peers announced last exchange
+   (ring record, spilled bytes, or the pipe transport's pickled list)
+   and inject them with this partition's own re-entering exports;
+2. ``compute`` -- pump the serial kernel up to this window's horizon;
+3. ``export-serialize`` -- per destination, note the earliest arrival
+   and encode the window's exports;
+4. ``ring-push`` -- push each encoded batch into its peer's ring;
+5. ``peer-signal`` -- store the round header, then frame every peer
+   (the write is the memory fence, see :mod:`repro.pdes.rings`);
+6. ``barrier-wait`` -- wait for every peer's frame of this exchange;
+7. ``horizon`` -- apply :func:`window_rule` to all headers: the same
+   pure function of the same inputs everywhere, so every worker agrees
+   on the next horizons, K, the drain and the stop.
+
+Forking -- not spawning -- matters: rank programs are closures that
+never need to be pickled; only per-window packet batches cross between
+processes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 import traceback
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
@@ -34,17 +54,25 @@ from ..core.context import YgmContext
 from ..core.stats import aggregate
 from ..mpi import World
 from ..sim.errors import DeadlockError
-from .rings import encode_exports, push_encoded, recv_batch, send_batch
+from .rings import (
+    DESC_NONE, PeerLinks, PeerLost, RingError, encode_exports, push_encoded,
+    recv_batch,
+)
 
-#: Command / reply verbs of the driver<->worker pipe protocol.
-CMD_STEP = "step"
+#: Verbs of the driver<->worker control pipe.
 CMD_CLOCK = "clock"  # flight recorder: echo perf_counter for clock alignment
-CMD_FINISH = "finish"
+CMD_START = "start"
 REP_READY = "ready"
 REP_CLOCK = "clock"
-REP_REPORT = "report"
 REP_RESULT = "result"
+REP_DEADLOCK = "deadlock"
 REP_ERROR = "error"
+
+_INF = math.inf
+#: How long a waiting worker sweeps its pipes before it sleeps (seconds).
+#: On pdes_cc (2 workers) this covers the 99th percentile of per-window
+#: waits (1.7-7.7 ms); a longer wait pays one wakeup (~0.1 ms) on top.
+SPIN_SECONDS = 0.01
 
 
 @dataclass
@@ -59,14 +87,76 @@ class WorkerSpec:
     default_config: MailboxConfig
     rank_main: Any
     tiebreaker: Any = None
-    #: ``"pipe"`` ships export batches as objects over the pipe (the
-    #: legacy pickling transport); ``"shm"`` ships them through the
-    #: shared-memory rings with only a tiny descriptor on the pipe.
-    transport: str = "pipe"
-    rings: Any = None  # ShmTransport, shared with the driver via fork
+    #: ``"shm"`` ships export batches through the shared-memory ring
+    #: mesh; ``"pipe"`` pickles them into the peer frames instead.
+    transport: str = "shm"
+    segment: Any = None  # the run's ShmTransport, shared via fork
+    pipes: Any = None  # (src, dst) -> (read fd, write fd) per peer pipe
+    window_batch: int = 0  # K; 0 = adaptive
+    #: Log window/barrier/complete trace records for the driver to replay.
+    log_windows: bool = False
     #: A :class:`~repro.pdes.flight.FlightSpec`, or ``None`` (the
     #: default): flight recording off, zero-cost on the worker hot path.
     flight: Any = None
+
+
+def window_rule(headers, lookahead: float, k: int, adapt: bool):
+    """The next window from one exchange's round headers.
+
+    ``headers``: every partition's :class:`~repro.pdes.rings.RoundHeader`
+    in partition order; ``k``: the window-batch factor they ran with.
+    With ``adapt`` K first moves: 1 after a spill, doubled (cap 512)
+    after an export-free exchange, halved (floor 1) after an exporting
+    one.  Each *active* partition's earliest activity ``e_p`` -- next
+    event or earliest arrival anyone just exported to it -- gives ``H_p
+    = min(A_p + L, e_p + K*L)``; the others get ``t_min + L``.  Returns
+    ``(k, t_min, base, horizons)``, ``horizons = None`` on deadlock.
+    """
+    if adapt:
+        # Volume-driven K: double after an export-free exchange (quiet
+        # phase -- barriers are pure overhead), halve after an exporting
+        # one, collapse to 1 the moment a batch outgrew its ring.  Chatty
+        # phases run at the provably-tight single window while quiet
+        # phases collapse barriers ~K-fold.
+        if any(h.spills for h in headers):
+            k = 1
+        elif not any(h.exports for h in headers):
+            k = min(k * 2, 512)
+        else:
+            k = max(1, k // 2)
+    nparts = len(headers)
+    # Earliest activity e_p per *active* partition: its next local event
+    # or earliest arrival anyone just exported to it.  Completed
+    # partitions are frozen at their finish instant -- their leftovers
+    # are post-completion chains that cannot export (a packet's wire
+    # instant never trails its sender's finish), so they are deferred to
+    # the final drain rather than allowed to pin the horizon forever.
+    nxt: Dict[int, float] = {}
+    for p, h in enumerate(headers):
+        if h.remaining > 0:
+            e_p = min(h.next_t, min(q.arrivals[p] for q in headers))
+            if e_p != _INF:
+                nxt[p] = e_p
+    if not nxt:
+        return k, None, None, None
+    t_min = min(nxt.values())
+    base = _INF if nparts == 1 else t_min + lookahead
+    if nparts == 1 or k <= 1:
+        return k, t_min, base, [base] * nparts
+    # Batched per-partition horizons: everything below min(A_p + L, e_p +
+    # K*L) is provably independent of this exchange's other windows
+    # *given* the workers' dynamic first-export clamp (see the engine
+    # docstring for the two-hop reflection argument).  K = 1 reduces
+    # exactly to the common base horizon.
+    horizons = []
+    for p in range(nparts):
+        e_p = nxt.get(p)
+        if e_p is None:
+            horizons.append(base)
+            continue
+        a_p = min((e for q, e in nxt.items() if q != p), default=_INF)
+        horizons.append(min(a_p + lookahead, e_p + k * lookahead))
+    return k, t_min, base, horizons
 
 
 class CausalityError(RuntimeError):
@@ -82,19 +172,20 @@ class PartitionRuntime:
     """One partition's simulation state inside a worker process."""
 
     def __init__(self, spec: WorkerSpec):
-        self.part = spec.part
+        self.part = part = spec.part
         self.partition = spec.partition
+        self.nparts = nparts = spec.partition.nparts
         #: While injecting an imported arrival, the wire instant the
         #: serial run would have pushed it at (see the tiebreaker below).
         self._push_override: Optional[float] = None
-        if spec.partition.nparts > 1:
+        if nparts > 1:
             tiebreaker = self._make_push_order_tiebreaker(spec.tiebreaker)
         else:
             tiebreaker = spec.tiebreaker
         #: The :class:`~repro.pdes.flight.WorkerFlight` buffer, or
-        #: ``None``.  Disabled is the default and costs the serve loop
-        #: exactly one cached-attribute check per window, with zero
-        #: flight-recorder code executed (both asserted by
+        #: ``None``.  Checked once, at the end of construction, to wrap
+        #: the window phases: disabled is the default and then the loop
+        #: runs no flight-recorder code at all (asserted by
         #: tests/pdes/test_flight.py).
         self.flight = None
         flight_tracer = None
@@ -107,7 +198,7 @@ class PartitionRuntime:
             # Tracer hooks only *read* simulated state, so the run stays
             # bit-identical (the flight differentials enforce it).
             flight_tracer = Tracer(categories=spec.flight.categories)
-            self.flight = WorkerFlight(spec.part, flight_tracer)
+            self.flight = WorkerFlight(part, flight_tracer)
         self.world = World(
             spec.machine_config, seed=spec.seed, tracer=flight_tracer,
             tiebreaker=tiebreaker,
@@ -115,45 +206,66 @@ class PartitionRuntime:
         self.sim = self.world.sim
         self.machine = self.world.machine
         self.net = spec.machine_config.net
-        self.owned: List[int] = list(spec.partition.ranks_of(spec.part))
-        owned_nodes = set(spec.partition.nodes_of(spec.part))
-        self._owned_nodes = owned_nodes
-        self.exports: List[tuple] = []
-        self.transport = spec.transport
-        self._scratch = bytearray()
-        if spec.rings is not None:
-            self._rx = spec.rings.to_worker[spec.part]
-            self._tx = spec.rings.from_worker[spec.part]
-        else:
-            self._rx = self._tx = None
+        self.owned: List[int] = list(spec.partition.ranks_of(part))
+        self._owned_nodes = set(spec.partition.nodes_of(part))
+
+        # -- the mesh: per destination partition, this window's exports
+        # (local wire order), their encoding and then descriptor --
+        self.peers = [q for q in range(nparts) if q != part]
+        self.segment = spec.segment
+        # Spin only with a core per worker.  With more workers than cores
+        # a spinning waiter holds the core a peer needs to finish its
+        # window: pdes_cc at 3 and 4 workers on 2 cores ran 3.6-5.0x
+        # slower spinning than blocking (EXPERIMENTS.md, "Parallel DES").
+        cores = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+        spin_s = SPIN_SECONDS if nparts <= len(cores(0)) else 0.0
+        self.links = PeerLinks(part, spec.pipes, spin_s)
+        self.pickled = spec.transport == "pipe"
+        self._outbox: List[List[tuple]] = [[] for _ in range(nparts)]
+        self._scratch = [bytearray() for _ in range(nparts)]
+        self._batches: List[Any] = [None] * nparts
+        self._arrivals = [_INF] * nparts
+        self._self_imports: List[tuple] = []
+        self._descs: Dict[int, tuple] = {}  # peer -> last announced batch
+        self._n_exports = self._n_spills = 0
+
+        # -- window state: identical in every worker (same rule, headers) --
+        self.lookahead = lookahead = self.net.min_wire_latency
+        self.adaptive = spec.window_batch == 0
+        self.k = spec.window_batch or 1
+        self.horizon: Optional[float] = None  # exchange 0 only reports
+        self.drain = False
+        self.t_final = self.next_t = None
+        self.seq = 0  # exchanges published (the header seq)
+        self.rounds = self.exported_packets = self.spilled_batches = 0
+        self.max_window_batch = 1
+        self.verdict: Optional[tuple] = None  # (blocked, latest): deadlock
+        self.log: Optional[List[tuple]] = [] if spec.log_windows else None
+        self._window: Optional[tuple] = None
 
         #: Live pump limit for the current window.  :meth:`pump` seeds it
-        #: with the driver's horizon; the exporter hook *tightens* it as
+        #: with the window's horizon; the exporter hook *tightens* it as
         #: packets hit the wire (see below), which is what makes the
-        #: driver's batched per-partition horizons safe.
+        #: batched per-partition horizons safe.
         self._limit: float = math.inf
-
-        exports_append = self.exports.append
-        lookahead = self.net.min_wire_latency
+        outbox = self._outbox
         reflect = 2.0 * lookahead
         owner_of_rank = spec.partition.owner_of_rank
-        part = spec.part
 
         def exporter(t_wire, src, dst, nbytes, packet):
-            exports_append((t_wire, src, dst, nbytes, packet))
+            owner = owner_of_rank(dst)
+            outbox[owner].append((t_wire, src, dst, nbytes, packet))
             # Dynamic clamp: once this partition has influenced the
             # outside world (first export at wire instant w), nothing it
             # does beyond w + 2L is safe -- another partition may react
             # to that export and send something back arriving as early
             # as w + 2L.  An export whose destination we own ourselves
             # re-enters at w + L exactly, so it clamps a full L tighter.
-            # Under the legacy common horizon H = t_min + L both bounds
-            # are >= H (w >= t_min), i.e. the clamp is provably inert at
-            # window_batch=1 and only bites when the driver hands out
-            # batched (> t_min + L) horizons.
-            limit = t_wire + (
-                lookahead if owner_of_rank(dst) == part else reflect
-            )
+            # Under the common horizon H = t_min + L both bounds are
+            # >= H (w >= t_min), i.e. the clamp is provably inert at
+            # window_batch=1 and only bites when the window rule hands
+            # out batched (> t_min + L) horizons.
+            limit = t_wire + (lookahead if owner == part else reflect)
             if limit < self._limit:
                 self._limit = limit
             return True
@@ -162,14 +274,14 @@ class PartitionRuntime:
         # the export hook and re-enters through :meth:`inject`, so all
         # remote arrivals at one timestamp are sequenced under the single
         # canonical key ``(t_arr, t_wire, src)``.  Exporting only the
-        # cross-partition subset would interleave barrier-injected
+        # cross-partition subset would interleave window-injected
         # arrivals with natively-simulated ones and break the serial
         # delivery order whenever two sources' packets land on the same
         # rank at the same instant (routine in rank-symmetric apps).  In
-        # single-partition mode there is no barrier to re-inject at, so
-        # the native in-flight path runs untouched (exactly the serial
-        # kernel).
-        if spec.partition.nparts > 1:
+        # single-partition mode there is no window exchange to re-inject
+        # at, so the native in-flight path runs untouched (exactly the
+        # serial kernel).
+        if nparts > 1:
             self.machine.on_remote_export = exporter
 
         # -- launch owned rank programs (same wrapping as YgmWorld.run +
@@ -220,6 +332,14 @@ class PartitionRuntime:
         for p in self.procs.values():
             p.attach(finished)
 
+        self.phases = (
+            self.import_batches, self.advance, self.serialize_exports,
+            self.push_exports, self.signal_peers, self.wait_peers,
+            self.next_window,
+        )
+        if self.flight is not None:
+            self.phases = self.flight.instrument(self, self.phases)
+
     def _make_push_order_tiebreaker(self, user):
         """Order same-timestamp events by *push time* -- the serial order.
 
@@ -233,7 +353,7 @@ class PartitionRuntime:
         (``_in_flight``'s timeout) would have happened at.  Keying the
         heap this way restores the serial interleaving of an import
         against local events pushed *after* its wire instant but landing
-        on the same timestamp -- the one tie the barrier's injection
+        on the same timestamp -- the one tie the window's injection
         sequence numbers get backwards.  (In a serial-equivalent run the
         key is provably inert: push time is nondecreasing in push index,
         so sorting by it never reorders.)  A user tiebreaker (schedule
@@ -251,16 +371,12 @@ class PartitionRuntime:
         return tiebreaker
 
     # -- stepping ----------------------------------------------------------
-    def peek(self) -> Optional[float]:
-        heap = self.sim._heap
-        return heap[0][0] if heap else None
-
     def inject(self, imports: List[tuple]) -> None:
         """Enqueue imported packet arrivals at their exact timestamps.
 
         Injection order is wire order: a *stable* sort by ``t_wire``.
-        The driver hands over each partition's exports in that
-        partition's local wire order (which the engine provably
+        :meth:`import_batches` hands over each partition's exports in
+        that partition's local wire order (which the engine provably
         preserves), concatenated in partition order -- so after the
         stable sort, same-instant packets from one partition keep their
         exact serial order, and the only tie resolved arbitrarily (by
@@ -321,99 +437,177 @@ class PartitionRuntime:
         if not heap and self.remaining > 0 and limit == math.inf:
             # Single-partition mode mirrors the serial deadlock check; in
             # windowed mode an empty heap just means "waiting for
-            # imports" and the driver rules on global deadlock.
+            # imports" and the window rule rules on global deadlock.
             raise DeadlockError(self.sim._live_processes, self.sim.now)
         return heap[0][0] if heap else None
 
-    def _advance(self, horizon, drain: bool) -> Optional[float]:
-        """Pump this window's events; returns the next pending timestamp."""
-        if horizon is None:
-            return self.peek()
-        if drain:
-            return self.sim.run_window(horizon)
-        if self.remaining > 0:
-            return self.pump(horizon)
-        return self.peek()
-
-    def step(self, horizon, batch, drain: bool):
-        """One window: inject, advance, report.
-
-        ``batch`` is the import batch's pipe payload (object list or
-        ring descriptor).  With the flight recorder off this path costs
-        one cached-attribute check over the bare protocol work.
-        """
-        fl = self.flight
-        if fl is not None:
-            return self._step_flight(fl, horizon, batch, drain)
-        self.inject(self.recv_imports(batch))
-        next_t = self._advance(horizon, drain)
-        exports, self.exports[:] = list(self.exports), []
-        return (
-            REP_REPORT,
-            self.part,
-            self._ship_exports(exports),
-            next_t,
-            self.remaining,
-            self.done_at,
-            self.sim.now,
-            self.sim.steps,
+    # -- the window loop ---------------------------------------------------
+    def run_windows(self) -> None:
+        """Run exchanges until the window rule says stop (or deadlock)."""
+        drain_imports, compute, serialize, push, signal, wait, rule = (
+            self.phases
         )
+        go = True
+        while go:
+            drain_imports()
+            compute()
+            serialize()
+            push()
+            signal()
+            wait()
+            go = rule()
 
-    def _step_flight(self, fl, horizon, batch, drain: bool):
-        """The instrumented twin of :meth:`step`: same work, same order,
-        with a clock read between the phases.  Under the pipe transport
-        serialization happens implicitly inside the report's
-        ``Connection.send``, so it lands in the serve loop's
-        ``ring-push`` span instead of ``export-serialize``."""
-        pc = perf_counter
-        t0 = pc()
-        self.inject(self.recv_imports(batch))
-        t1 = pc()
-        next_t = self._advance(horizon, drain)
-        t2 = pc()
-        exports, self.exports[:] = list(self.exports), []
-        if self._tx is None or self.transport == "pipe":
-            desc = exports
-            t3 = t2
+    def import_batches(self) -> None:
+        imports: List[tuple] = []
+        for q in range(self.nparts):
+            if q == self.part:
+                imports += self._self_imports
+            else:
+                imports += self._fetch(q, self._descs.get(q, DESC_NONE))
+        self.inject(imports)
+
+    def _fetch(self, q: int, desc) -> List[tuple]:
+        if self.pickled:
+            return ForkingPickler.loads(desc[1]) if desc[0] == "spill" else []
+        return recv_batch(self.segment.ring(q, self.part), desc)
+
+    def advance(self) -> None:
+        horizon, heap = self.horizon, self.sim._heap
+        # Exchange 0 only reports (no horizon yet): it learns t_min.
+        if horizon is None or (self.remaining <= 0 and not self.drain):
+            self.next_t = heap[0][0] if heap else None
+        elif self.drain:
+            self.next_t = self.sim.run_window(horizon)
         else:
-            nonempty = encode_exports(exports, self._scratch)
-            t3 = pc()
-            desc = push_encoded(self._tx, self._scratch, nonempty)
-        t4 = pc()
-        fl.span("import-drain", t0, t1 - t0)
-        fl.span("compute", t1, t2 - t1)
-        fl.span("export-serialize", t2, t3 - t2)
-        fl.span("ring-push", t3, t4 - t3)
-        if fl.tracer is not None:
-            # Window-granularity progress sample: small workers may never
-            # hit the kernel's 1024-step sampling stride, but the metrics
-            # exporter needs >= 2 samples per worker to attribute wall
-            # clock (the rank_group rows).  Reads state only.
-            fl.tracer.progress_samples.append((self.sim.now, self.sim.steps, t2))
-        fl.round += 1
-        return (
-            REP_REPORT,
-            self.part,
-            desc,
-            next_t,
-            self.remaining,
-            self.done_at,
-            self.sim.now,
-            self.sim.steps,
-        )
+            self.next_t = self.pump(horizon)
 
-    # -- transport ---------------------------------------------------------
-    def recv_imports(self, batch) -> List[tuple]:
-        """Materialise a window's imports from their pipe descriptor."""
-        if self._rx is None or self.transport == "pipe":
-            return batch
-        return recv_batch(self._rx, batch)
+    def serialize_exports(self) -> None:
+        """Group this window's exports per destination and encode them."""
+        costs = self.net.packet_costs
+        outbox = self._outbox
+        n = 0
+        for q, batch in enumerate(outbox):
+            n += len(batch)
+            # The serial in-flight path's arrival expression.
+            self._arrivals[q] = min(
+                (e[0] + costs(e[3])[1] for e in batch), default=_INF
+            )
+            if batch:
+                outbox[q] = []
+            if q == self.part:
+                self._self_imports = batch
+            elif not batch:
+                self._batches[q] = None
+            elif self.pickled:
+                self._batches[q] = ForkingPickler.dumps(batch)
+            else:
+                self._batches[q] = encode_exports(batch, self._scratch[q])
+        self._n_exports = n
 
-    def _ship_exports(self, exports: List[tuple]):
-        """Encode a window's exports; returns what rides the pipe."""
-        if self._tx is None or self.transport == "pipe":
-            return exports
-        return send_batch(self._tx, exports, self._scratch)
+    def push_exports(self) -> None:
+        """Push every encoded batch into the ring towards its partition."""
+        spills = 0
+        for q in self.peers:
+            batch = self._batches[q]
+            if batch is None:
+                desc = DESC_NONE
+            elif self.pickled:
+                desc = ("spill", batch)
+            else:
+                desc = push_encoded(
+                    self.segment.ring(self.part, q), self._scratch[q], batch
+                )
+                if desc[0] == "spill":
+                    spills += 1
+            self._batches[q] = desc
+        self._n_spills = spills
+
+    def signal_peers(self) -> None:
+        """Publish this exchange's round header, then frame every peer."""
+        self.seq += 1
+        next_t, done_at = self.next_t, self.done_at
+        self.segment.publish(self.part, (
+            self.seq, _INF if next_t is None else next_t, self.remaining,
+            _INF if done_at is None else done_at, self.sim.now,
+            self.sim.steps, self._n_exports, self._n_spills, *self._arrivals,
+        ))
+        for q in self.peers:
+            self.links.post(q, self._batches[q])
+
+    def wait_peers(self) -> None:
+        self._descs = self.links.gather()
+
+    def next_window(self) -> bool:
+        """Apply the window rule to this exchange's headers; False = stop."""
+        headers = [self.segment.header(q, self.seq) for q in range(self.nparts)]
+        for q, h in enumerate(headers):
+            if h.seq != self.seq:
+                raise RingError(
+                    f"partition {self.part}: partition {q}'s round header is "
+                    f"from exchange {h.seq}, expected {self.seq}"
+                )
+        exports = sum(h.exports for h in headers)
+        self.exported_packets += exports
+        self.spilled_batches += sum(h.spills for h in headers)
+        if self.drain:
+            # Serial keeps popping events until the globally last rank
+            # finishes; the drain replays that tail.
+            if exports == 0 and not any(h.next_t < self.t_final for h in headers):
+                if self.log is not None:
+                    self.log.append((
+                        self.t_final, "complete", "pdes driver",
+                        {"rounds": self.rounds, "exported": self.exported_packets},
+                    ))
+                return False
+        else:
+            if self._window is not None:
+                self._log_window(headers, exports)
+            if sum(h.remaining for h in headers) == 0:
+                self.drain = True
+                self.t_final = self.horizon = max(h.done_at for h in headers)
+            else:
+                k, t_min, base, horizons = window_rule(
+                    headers, self.lookahead, self.k,
+                    self.adaptive and self.nparts > 1 and self.seq > 1,
+                )
+                if horizons is None:
+                    self.verdict = (
+                        sum(h.remaining for h in headers),
+                        max(h.now for h in headers),
+                    )
+                    return False
+                self.k = k
+                self.horizon = horizons[self.part]
+                self.max_window_batch = max(self.max_window_batch, k)
+                if self.log is not None:
+                    active = sum(1 for h in headers if h.remaining > 0)
+                    self._window = (t_min, base, k, active)
+        self.rounds += 1
+        return True
+
+    def _log_window(self, headers, exports: int) -> None:
+        t_min, base, k, active = self._window
+        rnd = self.rounds
+        self.log.append((
+            t_min, "window", "pdes driver",
+            {"round": rnd, "horizon": base, "batch": k, "active": active,
+             "exports": exports},
+        ))
+        for p, h in enumerate(headers):
+            self.log.append((
+                h.now, "barrier", f"partition {p}",
+                {"round": rnd, "next_t": None if h.next_t == _INF else h.next_t,
+                 "remaining": h.remaining, "steps": h.steps},
+            ))
+
+    def ring_endpoints(self) -> Optional[dict]:
+        """This process's RingStats per ring ``(src, dst)`` it produces
+        into or consumes (``None`` without rings)."""
+        seg, part = self.segment, self.part
+        rings = [(part, q) for q in self.peers] + [(q, part) for q in self.peers]
+        if not rings or seg.ring(*rings[0]) is None:
+            return None
+        return {key: seg.ring(*key).stats.as_dict() for key in rings}
 
     # -- result assembly ---------------------------------------------------
     def result(self) -> tuple:
@@ -456,6 +650,12 @@ class PartitionRuntime:
                 "term": term,
                 "transport": transport,
                 "steps": self.sim.steps,
+                "rounds": self.rounds,
+                "exported_packets": self.exported_packets,
+                "spilled_batches": self.spilled_batches,
+                "max_window_batch": self.max_window_batch,
+                "ring": self.ring_endpoints(),
+                "log": self.log,
                 # Flight telemetry rides the control pipe with the final
                 # result -- out of band, never through the data rings.
                 "flight": (
@@ -467,69 +667,33 @@ class PartitionRuntime:
         )
 
 
-def _serve(conn, runtime: PartitionRuntime) -> None:
-    """The flight-off serve loop: bare protocol, no clock reads."""
-    while True:
-        msg = conn.recv()
-        cmd = msg[0]
-        if cmd == CMD_STEP:
-            _, horizon, batch, drain = msg
-            conn.send(runtime.step(horizon, batch, drain))
-        elif cmd == CMD_CLOCK:
-            conn.send((REP_CLOCK, runtime.part, perf_counter()))
-        elif cmd == CMD_FINISH:
-            conn.send(runtime.result())
-            return
-        else:
-            raise ValueError(f"unknown PDES command {cmd!r}")
-
-
-def _serve_flight(conn, runtime: PartitionRuntime, fl) -> None:
-    """The recorded serve loop: times the pipe waits and report sends.
-
-    ``barrier-wait`` is the interval blocked in ``conn.recv`` -- it
-    covers both the true barrier (waiting for siblings via the driver)
-    and the driver's own bookkeeping, which is exactly the
-    synchronisation cost a worker experiences.  Clock probes are
-    answered before any recording so the handshake RTT stays minimal.
-    """
-    pc = perf_counter
-    recv = conn.recv
-    while True:
-        t0 = pc()
-        msg = recv()
-        t1 = pc()
-        cmd = msg[0]
-        if cmd == CMD_CLOCK:
-            conn.send((REP_CLOCK, runtime.part, pc()))
-            fl.span("barrier-wait", t0, t1 - t0)
-            continue
-        fl.span("barrier-wait", t0, t1 - t0)
-        if cmd == CMD_STEP:
-            _, horizon, batch, drain = msg
-            rep = runtime.step(horizon, batch, drain)
-            t2 = pc()
-            conn.send(rep)
-            fl.span("ring-push", t2, pc() - t2)
-        elif cmd == CMD_FINISH:
-            # result() snapshots the flight buffer, so this is the last
-            # thing recorded; the send itself is not (nobody could ship
-            # a span describing its own shipping).
-            conn.send(runtime.result())
-            return
-        else:
-            raise ValueError(f"unknown PDES command {cmd!r}")
-
-
 def worker_main(conn, spec: WorkerSpec) -> None:
-    """Forked-process entry point: build the partition, serve the pipe."""
+    """Forked-process entry point: build the partition, run the windows.
+
+    The control pipe carries only the start handshake (plus the flight
+    recorder's clock probes) and the final reply: the result, the
+    deadlock verdict, or the traceback of an internal error.
+    """
+    runtime = None
     try:
         runtime = PartitionRuntime(spec)
         conn.send((REP_READY, spec.part))
-        if runtime.flight is not None:
-            _serve_flight(conn, runtime, runtime.flight)
+        while (cmd := conn.recv()[0]) != CMD_START:
+            if cmd != CMD_CLOCK:
+                raise ValueError(f"unknown PDES command {cmd!r}")
+            conn.send((REP_CLOCK, spec.part, perf_counter()))
+        runtime.run_windows()
+        if runtime.verdict is not None:
+            conn.send((REP_DEADLOCK, spec.part, *runtime.verdict))
         else:
-            _serve(conn, runtime)
+            conn.send(runtime.result())
+    except PeerLost:
+        # A peer died mid-exchange.  Its own exit (or error report) is
+        # what the driver must see, so wait silently to be torn down.
+        try:
+            conn.recv()
+        except (EOFError, OSError):
+            pass
     except EOFError:
         return  # driver went away; nothing to report to
     except BaseException:
@@ -538,11 +702,12 @@ def worker_main(conn, spec: WorkerSpec) -> None:
         except (BrokenPipeError, OSError):
             pass
     finally:
-        if spec.rings is not None:
-            try:
-                spec.rings.close()
-            except BufferError:  # pragma: no cover - leaked view; best effort
-                pass
+        if runtime is not None:
+            runtime.links.close()
+        try:
+            spec.segment.close()
+        except BufferError:  # pragma: no cover - leaked view; best effort
+            pass
         try:
             conn.close()
         except OSError:

@@ -88,17 +88,18 @@ def test_worker_internal_error_surfaces_as_pdes_error_with_traceback(monkeypatch
     # An error inside the worker machinery itself (not a rank program)
     # must come back as a PdesError naming the partition and carrying
     # the worker's traceback.  The fault is injected by patching the
-    # worker's step before fork -- children inherit the patched module.
+    # worker's compute phase before fork -- children inherit the patched
+    # module.
     from repro.pdes.worker import PartitionRuntime
 
-    orig = PartitionRuntime.step
+    orig = PartitionRuntime.advance
 
-    def faulty_step(self, horizon, imports, drain):
+    def faulty_advance(self):
         if self.part == 1:
             raise RuntimeError("synthetic worker fault")
-        return orig(self, horizon, imports, drain)
+        return orig(self)
 
-    monkeypatch.setattr(PartitionRuntime, "step", faulty_step)
+    monkeypatch.setattr(PartitionRuntime, "advance", faulty_advance)
     with pytest.raises(PdesError) as ei:
         PdesWorld(4, cores_per_node=2, workers=2).run(ping_all)
     msg = str(ei.value)

@@ -16,17 +16,22 @@ import tracemalloc
 
 import pytest
 
+from repro.core.config import MailboxConfig
 from repro.core.context import YgmWorld
+from repro.core.routing import get_scheme
+from repro.machine import bench_machine
 from repro.pdes import (
     DRIVER_PHASES,
     WORKER_PHASES,
+    FlightSpec,
+    NodePartition,
     PdesWorld,
     ShmTransport,
     assert_equivalent,
     estimate_offset,
 )
-from repro.pdes.rings import SpscRing
-from repro.pdes.worker import PartitionRuntime
+from repro.pdes.rings import PeerLinks
+from repro.pdes.worker import PartitionRuntime, WorkerSpec
 from repro.trace import Tracer
 from repro.trace.pdes_report import (
     MIN_COVERAGE,
@@ -78,27 +83,64 @@ def test_recording_is_bit_identical_to_serial(transport, workers):
 
 
 # -- zero cost when disabled --------------------------------------------------
+#: Everything the worker runs once per window.
+WINDOW_PATH = (
+    PartitionRuntime.run_windows,
+    PartitionRuntime.import_batches,
+    PartitionRuntime._fetch,
+    PartitionRuntime.inject,
+    PartitionRuntime.advance,
+    PartitionRuntime.pump,
+    PartitionRuntime.serialize_exports,
+    PartitionRuntime.push_exports,
+    PartitionRuntime.signal_peers,
+    PartitionRuntime.wait_peers,
+    PartitionRuntime.next_window,
+    PartitionRuntime._log_window,
+    PeerLinks.post,
+    PeerLinks.gather,
+    PeerLinks._take,
+    PeerLinks._flush,
+    PeerLinks._parse,
+)
+
+
+def _runtime(flight):
+    spec = WorkerSpec(
+        part=0, partition=NodePartition(8, 2, 1),
+        machine_config=bench_machine(8, cores_per_node=2),
+        scheme=get_scheme("nlnr", 8, 2), seed=1,
+        default_config=MailboxConfig(), rank_main=chatter,
+        segment=ShmTransport(1), pipes={}, flight=flight,
+    )
+    runtime = PartitionRuntime(spec)
+    spec.segment.close()
+    spec.segment.unlink()
+    return runtime
+
+
 def test_disabled_window_path_is_one_attribute_check():
-    """`PartitionRuntime.step` may load `self.flight` exactly once; the
-    phases it delegates to must not mention the recorder or any clock."""
-    loads = [
-        ins
-        for ins in dis.get_instructions(PartitionRuntime.step)
-        if ins.opname.startswith("LOAD") and ins.argval == "flight"
-    ]
-    assert len(loads) == 1
-    assert "perf_counter" not in PartitionRuntime.step.__code__.co_names
-    for fn in (
-        PartitionRuntime.pump,
-        PartitionRuntime.inject,
-        PartitionRuntime._advance,
-        PartitionRuntime.peek,
-        PartitionRuntime.recv_imports,
-        PartitionRuntime._ship_exports,
-    ):
+    """The recorder is resolved once per worker, at construction, where
+    it may wrap the window phases; the window loop and every phase it
+    runs name neither the recorder nor any clock, and a recorder-free
+    runtime runs its own bound methods -- zero checks per window."""
+    for fn in WINDOW_PATH:
         names = fn.__code__.co_names
-        assert "flight" not in names, fn.__qualname__
-        assert "perf_counter" not in names, fn.__qualname__
+        for forbidden in ("flight", "instrument", "perf_counter"):
+            assert forbidden not in names, (fn.__qualname__, forbidden)
+    wraps = [
+        ins
+        for ins in dis.get_instructions(PartitionRuntime.__init__)
+        if ins.opname.startswith("LOAD") and ins.argval == "instrument"
+    ]
+    assert len(wraps) == 1
+    bare = _runtime(flight=None)
+    assert all(phase.__self__ is bare for phase in bare.phases)
+    recorded = _runtime(flight=FlightSpec(categories=()))
+    assert not any(
+        getattr(phase, "__self__", None) is recorded
+        for phase in recorded.phases
+    )
 
 
 def test_disabled_run_allocates_nothing_from_flight_module():
@@ -183,6 +225,14 @@ def test_validation_rejects_malformed_documents():
     del bad["workers"][0]["buckets"]["compute"]
     with pytest.raises(AttributionError, match="buckets"):
         validate(bad)
+    # Two workers computing in parallel can sum to more than the wall
+    # clock, never to more than two walls.
+    parallel = json.loads(json.dumps(doc))
+    parallel["serial_equivalent"]["fraction"] = 1.5
+    validate(parallel)
+    parallel["serial_equivalent"]["fraction"] = 2.5
+    with pytest.raises(AttributionError, match="serial-equivalent"):
+        validate(parallel)
 
 
 def test_report_html_is_self_contained(tmp_path):
@@ -232,8 +282,8 @@ def test_chrome_merge_has_one_process_group_per_worker(tmp_path):
 
 # -- ring telemetry -----------------------------------------------------------
 def test_ring_stats_count_pushes_pops_highwater_and_spills():
-    shm = ShmTransport(1, ring_bytes=4096)
-    ring = shm.to_worker[0]
+    shm = ShmTransport(2, ring_bytes=4096)
+    ring = shm.ring(0, 1)
     try:
         payload = b"x" * 100
         assert ring.try_push(payload) is not None
@@ -244,6 +294,7 @@ def test_ring_stats_count_pushes_pops_highwater_and_spills():
         # A push that cannot fit is refused and counted as a spill.
         assert ring.try_push(b"y" * 8000) is None
         assert st.spills == 1
+        assert ring.refusals == 1  # the shared counter agrees
         assert st.pushes == 1
         view = ring.begin_pop()
         assert bytes(view) == payload
@@ -270,21 +321,28 @@ def test_ring_stats_survive_the_run():
 
 def test_stall_note_names_the_congested_ring():
     engine = PdesWorld(
-        8, scheme="nlnr", seed=1, cores_per_node=2, workers=2
+        8, scheme="nlnr", seed=1, cores_per_node=2, workers=3
     )
-    shm = ShmTransport(2, ring_bytes=4096)
+    shm = ShmTransport(3, ring_bytes=4096)
     engine._rings = shm
     try:
-        # Prime partition 1's import ring with an undrained record and a
-        # recorded spill, as a mid-window stall would leave it.
-        assert shm.to_worker[1].try_push(b"z" * 64) is not None
-        shm.to_worker[1].stats.spills = 3
-        note = engine._ring_stall_note([1])
-        assert "partition 1 import ring" in note
+        # Prime partition 1's import ring from partition 0 with an
+        # undrained record and three refused pushes, as a mid-window
+        # stall would leave it.
+        ring = shm.ring(0, 1)
+        assert ring.try_push(b"z" * 64) is not None
+        for _ in range(3):
+            assert ring.try_push(b"y" * 8000) is None
+        note = engine._ring_note([1])
+        assert "partition 1 import ring from partition 0" in note
         assert "3 spill(s)" in note
         assert "4096" in note
+        # The producer's side names the same ring as undelivered.
+        assert "partition 0 export ring to partition 1: 80 byte(s)" in (
+            engine._ring_note([0])
+        )
         # A quiet partition contributes nothing.
-        assert engine._ring_stall_note([0]) == ""
+        assert engine._ring_note([2]) == ""
     finally:
         engine._rings = None
         shm.close()

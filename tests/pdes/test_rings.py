@@ -189,14 +189,26 @@ def test_unknown_descriptor_raises():
 
 # -- the shared segment ------------------------------------------------------
 def test_shm_transport_carves_independent_ring_pairs():
-    rings = ShmTransport(2, ring_bytes=4096)
+    # Three workers: one ring per ordered pair, plus two header slots
+    # per worker, none overlapping.
+    rings = ShmTransport(3, ring_bytes=4096)
     try:
-        all_rings = rings.to_worker + rings.from_worker
-        assert len(all_rings) == 4
+        all_rings = rings.rings()
+        assert len(all_rings) == 6
+        assert [rings.ring(p, p) for p in range(3)] == [None] * 3
         for i, ring in enumerate(all_rings):
             ring.try_push(bytes([i]) * 10)
+        for p in range(3):
+            for seq in (1, 2):
+                rings.publish(p, (seq, 1.5 * p, p, 2.0, 3.0, 4, 5, 6,
+                                  0.5, 0.25, float(p)))
         for i, ring in enumerate(all_rings):
             assert pop(ring) == bytes([i]) * 10  # no slot overlap
+        assert rings.progress() == [2, 2, 2]
+        for p in range(3):
+            h = rings.header(p, 1)
+            assert (h.seq, h.next_t, h.remaining) == (1, 1.5 * p, p)
+            assert h.arrivals == (0.5, 0.25, float(p))
     finally:
         rings.close()
         rings.unlink()
@@ -218,3 +230,42 @@ def test_close_and_unlink_are_idempotent(tmp_path):
     rings.unlink()
     rings.unlink()
     assert not pathlib.Path("/dev/shm", name).exists()
+
+
+# -- peer frames ---------------------------------------------------------------
+def test_frames_larger_than_a_pipe_cross_both_ways_at_once():
+    # Both peers post a 1 MiB spill to each other before either reads:
+    # blocking writes would deadlock on the full pipe buffers, the
+    # non-blocking outbox serviced from gather() must not.
+    import multiprocessing
+
+    from repro.pdes.rings import PeerLinks, close_fds, open_pipes
+
+    pipes = open_pipes(2)
+    ctx = multiprocessing.get_context("fork")
+    blobs = [bytes([7]) * (1 << 20), bytes(range(256)) * 4096]
+
+    def side(part, conn):
+        links = PeerLinks(part, pipes)
+        links.post(1 - part, ("spill", blobs[part]))
+        links.post(1 - part, ("ring", 5))  # the next exchange's frame
+        first = links.gather()[1 - part]
+        second = links.gather()[1 - part]
+        conn.send((first == ("spill", blobs[1 - part]), second))
+
+    conns, procs = [], []
+    for part in (0, 1):
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(target=side, args=(part, child), daemon=True)
+        proc.start()
+        conns.append(parent)
+        procs.append(proc)
+    close_fds(fd for pair in pipes.values() for fd in pair)
+    try:
+        for conn in conns:
+            assert conn.poll(30.0), "peer frame exchange deadlocked"
+            assert conn.recv() == (True, ("ring", 5))
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.core.context import YgmWorld
+from repro.machine import bench_machine
 from repro.pdes import (
     PdesError,
     PdesStallError,
@@ -74,11 +75,68 @@ def test_tiny_ring_spills_but_stays_bit_identical():
     serial = YgmWorld(8, scheme="nlnr", seed=1, cores_per_node=2).run(bursty)
     engine = PdesWorld(
         8, scheme="nlnr", seed=1, cores_per_node=2, workers=2,
+        transport="shm",  # the ring is what spills
         ring_bytes=4096,  # far below one window's traffic
     )
     parallel = engine.run(bursty)
     assert_equivalent(parallel, serial)
     assert engine.spilled_batches > 0  # the spill path truly ran
+
+
+def flood(ctx):
+    # From t=0 every rank sends 4 KiB packets (one message each) to every
+    # rank outside its 4-rank block -- a partition at 4 workers, half of
+    # one at 2 -- starting at a different block per rank.  On the fast
+    # NIC below every window carries batches far past a 4 KiB ring
+    # towards every peer at once, in both directions of every pair,
+    # and the first windows' frames overflow a 64 KiB pipe buffer.
+    got = []
+    mb = ctx.mailbox(recv=lambda m: got.append(m), capacity=1)
+    n = ctx.nranks
+    order = [(ctx.rank + 4 * k + j) % n for j in range(4) for k in (1, 2, 3)]
+    for i in range(4):
+        for dest in order:
+            yield from mb.send(dest, bytes([ctx.rank, i]) * 2048)
+    yield from mb.wait_empty()
+    return len(got), sum(len(m) for m in got)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("transport", ["shm", "pipe"])
+def test_mutual_spills_in_one_round_neither_deadlock_nor_lose(
+    transport, workers
+):
+    # A NIC fast enough to put several packets per node on the wire in
+    # one lookahead window.
+    machine = bench_machine(
+        8, cores_per_node=2, nic_gap=1e-7, eager_rate=2.0 ** 36
+    )
+    serial = YgmWorld(machine, scheme="noroute", seed=3).run(flood)
+    engine = PdesWorld(
+        machine, scheme="noroute", seed=3, workers=workers,
+        transport=transport, ring_bytes=4096, window_timeout=60.0,
+        flight=True,
+    )
+    parallel = engine.run(flood)  # a stall would raise PdesStallError
+    assert_equivalent(parallel, serial)
+    if transport == "pipe":
+        return  # no rings: every batch rides its frame anyway
+    rows = [snap["rows"] for snap in engine.flight_log.workers]
+
+    def spilled(p, i):
+        before = rows[p][i - 1]["spilled_to"] if i else [0] * workers
+        return [a - b for a, b in zip(rows[p][i]["spilled_to"], before)]
+
+    # Some exchange in which every worker spilled towards every peer.
+    assert any(
+        all(
+            spilled(p, i)[q] > 0
+            for p in range(workers)
+            for q in range(workers)
+            if q != p
+        )
+        for i in range(len(rows[0]))
+    )
 
 
 def make_quiet_tail(dt):
@@ -152,10 +210,10 @@ def engine_with_rings():
 
 def test_dead_worker_ring_batches_are_drained_and_counted(engine_with_rings):
     engine = engine_with_rings
-    ring = engine._rings.from_worker[1]
+    ring = engine._rings.ring(1, 0)
     send_batch(ring, _exports(3), bytearray())
     send_batch(ring, _exports(2), bytearray())
-    note = engine._ring_attribution([1])
+    note = engine._ring_note([1], drain=True)
     assert "partition 1 left 2 undelivered export batch(es)" in note
     assert "(5 message(s))" in note
     assert ring.used == 0  # drained, not left to leak into a reuse
@@ -163,24 +221,24 @@ def test_dead_worker_ring_batches_are_drained_and_counted(engine_with_rings):
 
 def test_dead_worker_partial_frame_is_reported_as_partial(engine_with_rings):
     engine = engine_with_rings
-    ring = engine._rings.from_worker[0]
+    ring = engine._rings.ring(0, 1)
     # A producer that died mid-write: bytes present, frame incomplete.
     ring._write(0, b"\x00" * 10)
     ring._store(0, 10)
-    note = engine._ring_attribution([0])
+    note = engine._ring_note([0], drain=True)
     assert "partition 0 left 10 unread byte(s) (partial batch)" in note
 
 
 def test_dead_worker_corrupt_batch_is_reported_as_corrupt(engine_with_rings):
     engine = engine_with_rings
-    ring = engine._rings.from_worker[1]
+    ring = engine._rings.ring(1, 0)
     ring.try_push(b"\xff\xfe definitely not a batch")
-    note = engine._ring_attribution([1])
+    note = engine._ring_note([1], drain=True)
     assert "partition 1 left a corrupt batch" in note
 
 
 def test_clean_rings_add_no_attribution(engine_with_rings):
-    assert engine_with_rings._ring_attribution([0, 1]) == ""
+    assert engine_with_rings._ring_note([0, 1], drain=True) == ""
 
 
 def test_mid_run_death_error_names_the_partition_not_a_stall():

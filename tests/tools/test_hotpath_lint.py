@@ -274,3 +274,117 @@ def test_cli_reports_combining_violation(tmp_path):
     )
     assert proc.returncode == 1
     assert "must stay vectorized" in proc.stderr
+
+
+def _write_worker_tree(tmp_path, worker_src, rings_src="class SpscRing:\n    pass\n"):
+    root = _write_rings_tree(tmp_path, rings_src)
+    (root / "src" / "repro" / "pdes" / "worker.py").write_text(worker_src)
+    return root
+
+
+def test_flags_clock_and_recorder_in_mesh_exchange(tmp_path):
+    root = _write_worker_tree(
+        tmp_path,
+        "from time import perf_counter\n"
+        "def window_rule(headers, lookahead, k, adapt):\n"
+        "    return perf_counter()\n"  # violation: the rule is pure
+        "class PartitionRuntime:\n"
+        "    def signal_peers(self):\n"
+        "        self.t = perf_counter()\n"  # violation: header publish
+        "    def wait_peers(self):\n"
+        "        self.flight.span('barrier-wait', 0, 0)\n"  # violation
+        "    def result(self):\n"
+        "        return perf_counter()\n",  # not on the exchange: fine
+        "import time\n"
+        "class PeerLinks:\n"
+        "    def gather(self):\n"
+        "        return time.monotonic()\n"  # violation: peer wait
+        "class ShmTransport:\n"
+        "    def publish(self, part, fields):\n"
+        "        self.rec.record(part)\n",  # violation: header publish
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("PartitionRuntime.signal_peers", "ring-hot perf_counter"),
+        ("PartitionRuntime.wait_peers", "ring-hot span"),
+        ("PeerLinks.gather", "ring-hot monotonic"),
+        ("ShmTransport.publish", "ring-hot record"),
+        ("window_rule", "ring-hot perf_counter"),
+    ]
+
+
+def test_flags_object_serialization_on_the_exchange_only(tmp_path):
+    root = _write_worker_tree(
+        tmp_path,
+        "from multiprocessing.reduction import ForkingPickler\n"
+        "class PartitionRuntime:\n"
+        "    def serialize_exports(self):\n"
+        "        return ForkingPickler.dumps([])\n"  # pipe transport: fine
+        "    def push_exports(self):\n"
+        "        return ForkingPickler.dumps([])\n"  # violation
+        "    def next_window(self):\n"
+        "        self.conn.send(self.headers)\n",  # violation: pickles
+        "class PeerLinks:\n"
+        "    def post(self, dst, desc):\n"
+        "        import pickle\n"  # file-level pickle rule
+        "        return pickle.loads(desc)\n",  # + exchange rule
+    )
+    found = sorted(
+        (f.rsplit("/", 1)[-1], qual, what)
+        for f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert found == [
+        ("rings.py", "PeerLinks.post", "exchange pickle loads"),
+        ("rings.py", "PeerLinks.post", "import pickle"),
+        ("rings.py", "PeerLinks.post", "pickle.loads"),
+        ("worker.py", "PartitionRuntime.next_window", "exchange pickle send"),
+        ("worker.py", "PartitionRuntime.push_exports", "ForkingPickler.dumps"),
+        ("worker.py", "PartitionRuntime.push_exports", "exchange pickle dumps"),
+    ]
+
+
+def test_pickler_classes_flagged_outside_the_allowed_sites(tmp_path):
+    root = _write_worker_tree(
+        tmp_path,
+        "from multiprocessing.reduction import ForkingPickler\n"  # allowed
+        "class PartitionRuntime:\n"
+        "    def _fetch(self, q, desc):\n"
+        "        return ForkingPickler.loads(desc[1])\n"  # allowed
+        "    def result(self):\n"
+        "        return ForkingPickler.dumps(self.log)\n",  # not listed
+        "",
+    )
+    (root / "src" / "repro" / "pdes" / "engine.py").write_text(
+        "from multiprocessing import reduction\n"
+        "from pickle import Pickler\n"
+        "def spawn(buf):\n"
+        "    return reduction.ForkingPickler(buf)\n"
+    )
+    found = sorted(
+        (f.rsplit("/", 1)[-1], qual, what)
+        for f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert found == [
+        ("engine.py", "<module>", "from pickle import ..."),
+        ("engine.py", "spawn", "ForkingPickler"),
+        ("worker.py", "PartitionRuntime.result", "ForkingPickler.dumps"),
+    ]
+
+
+def test_cli_reports_exchange_pickle_violation(tmp_path):
+    root = _write_worker_tree(
+        tmp_path,
+        "class PartitionRuntime:\n"
+        "    def wait_peers(self):\n"
+        "        return self.conn.recv()\n",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "hotpath_lint.py"),
+         "--root", str(root)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "mesh exchange" in proc.stderr and "moves bytes only" in proc.stderr

@@ -15,10 +15,14 @@ PR 8 added a second rule for the PDES export path: the shared-memory
 ring transport (``repro.pdes.rings`` / ``wire`` / ``worker`` /
 ``engine``) moves export batches through the serde-based columnar wire
 codec, and ``pickle`` must never reappear there -- no ``import pickle``
-and no ``pickle.dumps`` / ``pickle.loads`` calls.  (The legacy pipe
-transport pickles *implicitly* through ``Connection.send``, which is
-fine; an explicit ``pickle`` use in these modules means someone put a
-Python-object serializer back on the hot path.)  Results stay
+and no ``pickle.dumps`` / ``pickle.loads`` calls.  (Pickling
+*implicitly* through ``Connection.send`` is fine; an explicit
+``pickle`` use in these modules means someone put a Python-object
+serializer back on the hot path.)  The pickler classes count too
+(``ForkingPickler`` / ``Pickler`` / ``Unpickler``, imported or used),
+except at the sites listed in ``PICKLE_ALLOWED_SITES``: the pipe
+transport pickles each batch once in the worker's serialize phase and
+unpickles it once in its import phase, openly.  Results stay
 bit-identical either way, so again only this lint catches it.
 
 PR 9 added a third rule for the in-network combining pass
@@ -37,6 +41,15 @@ free of clock reads and recorder calls -- no ``perf_counter`` /
 ``counter`` / ``progress``.  The always-on :class:`RingStats` integer
 bumps are the only telemetry allowed there; a timing call on that path
 taxes every batch whether or not anyone is recording.
+
+The window protocol runs in the workers (a peer-to-peer ring mesh), so
+rule 4 also covers the whole *mesh exchange* -- header
+publish/read, peer frames (post/gather), ring push/pop, the window rule
+and the worker's exchange phases -- and a fifth rule keeps that
+exchange free of Python-object serialization: no ``dumps``/``loads``
+(``ForkingPickler`` included) and no ``Connection.send``/``recv``,
+which pickle implicitly.  The pipe transport pickles its batches only
+in the worker's serialize and import phases, never on the exchange.
 
 Usage::
 
@@ -78,15 +91,55 @@ PICKLE_FREE_FILES = (
     "src/repro/pdes/engine.py",
 )
 
+#: ``(file, qualname, use)`` sites where a pickler is legitimate in a
+#: :data:`PICKLE_FREE_FILES` module: the pipe transport's one pickle per
+#: batch (serialize phase), one unpickle per batch (import phase) and
+#: the import they need.
+PICKLE_ALLOWED_SITES = {
+    ("src/repro/pdes/worker.py", "<module>",
+     "from multiprocessing.reduction import ForkingPickler"),
+    ("src/repro/pdes/worker.py", "PartitionRuntime.serialize_exports",
+     "ForkingPickler.dumps"),
+    ("src/repro/pdes/worker.py", "PartitionRuntime._fetch",
+     "ForkingPickler.loads"),
+}
+
 #: Files whose loops may only iterate per-*field*, never per-record.
 VECTORIZED_FILES = ("src/repro/core/routing/combiner.py",)
 
-#: Ring fast-path file and the methods that must stay clock/recorder-free.
-RING_FILES = ("src/repro/pdes/rings.py",)
-RING_FAST_METHODS = {
-    "SpscRing.try_push",
-    "SpscRing.begin_pop",
-    "SpscRing.commit_pop",
+#: The ring fast path and the mesh exchange, per file: functions that
+#: must stay clock/recorder-free (rule 4) and serialization-free (rule 5).
+MESH_EXCHANGE = {
+    "src/repro/pdes/rings.py": {
+        "SpscRing.try_push",
+        "SpscRing.begin_pop",
+        "SpscRing.commit_pop",
+        "ShmTransport.publish",
+        "ShmTransport.header",
+        "PeerLinks.post",
+        "PeerLinks.gather",
+        "PeerLinks._take",
+        "PeerLinks._flush",
+        "PeerLinks._parse",
+        "push_encoded",
+        "recv_batch",
+    },
+    "src/repro/pdes/worker.py": {
+        "window_rule",
+        "PartitionRuntime.run_windows",
+        "PartitionRuntime.push_exports",
+        "PartitionRuntime.signal_peers",
+        "PartitionRuntime.wait_peers",
+        "PartitionRuntime.next_window",
+    },
+}
+RING_FILES = tuple(MESH_EXCHANGE)
+
+#: Calls that serialize Python objects (rule 5): pickler entry points
+#: and ``Connection.send``/``recv``, which pickle implicitly.
+EXCHANGE_PICKLE_CALLS = {
+    "dumps", "loads", "dump", "load", "ForkingPickler", "Pickler",
+    "Unpickler", "send", "recv",
 }
 
 #: Calls forbidden inside the ring fast path: clock reads and flight/
@@ -147,9 +200,12 @@ class _HotPathVisitor(ast.NodeVisitor):
 
 
 class _PickleVisitor(ast.NodeVisitor):
-    """Flags any route to the pickle serializer: imports and attribute use."""
+    """Flags any route to a pickler: pickle modules (imports and
+    attribute use) and the pickler classes (imports and any use),
+    outside :data:`PICKLE_ALLOWED_SITES`."""
 
     _MODULES = {"pickle", "cPickle", "_pickle"}
+    _PICKLERS = {"ForkingPickler", "Pickler", "Unpickler"}
 
     def __init__(self, relpath: str) -> None:
         self.relpath = relpath
@@ -167,7 +223,8 @@ class _PickleVisitor(ast.NodeVisitor):
 
     def _flag(self, node, what: str) -> None:
         qualname = ".".join(self.stack) or "<module>"
-        self.violations.append((self.relpath, node.lineno, qualname, what))
+        if (self.relpath, qualname, what) not in PICKLE_ALLOWED_SITES:
+            self.violations.append((self.relpath, node.lineno, qualname, what))
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -177,11 +234,25 @@ class _PickleVisitor(ast.NodeVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module and node.module.split(".")[0] in self._MODULES:
             self._flag(node, f"from {node.module} import ...")
+            return
+        for alias in node.names:
+            if alias.name in self._PICKLERS:
+                self._flag(node, f"from {node.module} import {alias.name}")
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.value, ast.Name) and node.value.id in self._MODULES:
-            self._flag(node, f"{node.value.id}.{node.attr}")
+        value = node.value
+        if isinstance(value, ast.Name) and (
+            value.id in self._MODULES or value.id in self._PICKLERS
+        ):
+            self._flag(node, f"{value.id}.{node.attr}")
+            return  # the name itself is this use
+        if node.attr in self._PICKLERS:
+            self._flag(node, node.attr)
         self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id in self._PICKLERS:
+            self._flag(node, node.id)
 
 
 class _VectorizedVisitor(ast.NodeVisitor):
@@ -265,10 +336,12 @@ class _VectorizedVisitor(ast.NodeVisitor):
 
 
 class _RingFastPathVisitor(ast.NodeVisitor):
-    """Flags clock reads and recorder calls inside the ring fast path."""
+    """Flags clock reads, recorder calls and object serialization inside
+    the ring fast path and the mesh exchange."""
 
     def __init__(self, relpath: str) -> None:
         self.relpath = relpath
+        self.guarded = MESH_EXCHANGE.get(relpath, set())
         self.stack: list[str] = []
         self.violations: list[tuple[str, int, str, str]] = []
 
@@ -283,11 +356,16 @@ class _RingFastPathVisitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node)
-        if name in RING_FORBIDDEN_CALLS:
-            qualname = ".".join(self.stack) or "<module>"
-            if qualname in RING_FAST_METHODS:
+        qualname = ".".join(self.stack) or "<module>"
+        if qualname in self.guarded:
+            if name in RING_FORBIDDEN_CALLS:
                 self.violations.append(
                     (self.relpath, node.lineno, qualname, f"ring-hot {name}")
+                )
+            elif name in EXCHANGE_PICKLE_CALLS:
+                self.violations.append(
+                    (self.relpath, node.lineno, qualname,
+                     f"exchange pickle {name}")
                 )
         self.generic_visit(node)
 
@@ -364,18 +442,27 @@ def main(argv=None) -> int:
         elif name.startswith("ring-hot "):
             print(
                 f"{relpath}:{lineno}: {name[len('ring-hot '):]}() called in "
-                f"{qualname} -- the ring push/pop fast path must stay free "
-                f"of clock reads and recorder calls (the flight recorder "
-                f"times per window, outside the ring; RingStats integer "
-                f"bumps are the only telemetry allowed here)",
+                f"{qualname} -- the ring push/pop fast path and the mesh "
+                f"exchange must stay free of clock reads and recorder calls "
+                f"(the flight recorder wraps whole phases from outside; "
+                f"RingStats integer bumps are the only telemetry allowed "
+                f"here)",
                 file=sys.stderr,
             )
-        elif "pickle" in name:
+        elif name.startswith("exchange pickle "):
+            print(
+                f"{relpath}:{lineno}: {name[len('exchange pickle '):]}() "
+                f"called in {qualname} -- the mesh exchange (headers, peer "
+                f"frames, ring push/pop) moves bytes only; the pipe "
+                f"transport pickles in the serialize/import phases",
+                file=sys.stderr,
+            )
+        elif "pickle" in name.lower():
             print(
                 f"{relpath}:{lineno}: {name} in {qualname} -- the PDES "
                 f"export path must stay pickle-free (encode through "
-                f"repro.pdes.wire; the pipe fallback pickles implicitly "
-                f"via Connection.send)",
+                f"repro.pdes.wire; the pipe transport pickles only at "
+                f"PICKLE_ALLOWED_SITES)",
                 file=sys.stderr,
             )
         else:
