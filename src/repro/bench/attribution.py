@@ -30,7 +30,6 @@ def run_attribution(
     json_path: str,
     trace_path: Optional[str] = None,
     workers: int = 4,
-    transport: Optional[str] = None,
 ) -> Table:
     """Run ``fig``'s workload partitioned + flight-recorded; write reports."""
     from ..pdes import PdesWorld
@@ -57,7 +56,6 @@ def run_attribution(
         mailbox_capacity=sweep.mailbox_capacity,
         tracer=tracer,
         workers=workers,
-        transport=transport,
         flight=True,
     )
     res = world.run(_workload(fig, sweep, nodes))
@@ -72,7 +70,7 @@ def run_attribution(
     table = Table(
         title=f"PDES attribution: fig {fig}, {nodes} nodes x "
         f"{sweep.cores_per_node} cores, {workers} workers, "
-        f"{world.transport} transport, scheme {scheme}",
+        f"scheme {scheme}",
         columns=[
             "seconds", "rounds", "exported_packets", "spilled_batches",
             "wall_s", "serial_equiv",

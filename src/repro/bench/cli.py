@@ -29,9 +29,7 @@ reflects whether every check passed.
 worker processes through the parallel DES engine (:mod:`repro.pdes`;
 results are bit-identical to serial, so figure tables do not change).
 Under ``--check`` it additionally turns every oracle cell into a
-serial-vs-parallel differential test.  ``--pdes-transport {shm,pipe}``
-selects the export transport (shared-memory rings by default; the
-pickle-over-pipe path is kept for differential testing).
+serial-vs-parallel differential test.
 
 ``pdes --attribute`` (the bare positional ``pdes`` implies
 ``--attribute``) switches to the flight-recorded attribution mode (see
@@ -63,7 +61,6 @@ automatically), making re-runs of unchanged sweeps near-instant.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -185,15 +182,6 @@ def main(argv: List[str] = None) -> int:
         "clamped to the simulated node count).  Applies to figure cells "
         "(fig5 and the MPI comparator stay serial) and to the --check "
         "oracle, where every cell gains a serial-vs-parallel differential",
-    )
-    parser.add_argument(
-        "--pdes-transport",
-        choices=("shm", "pipe"),
-        default=None,
-        help="export transport for --pdes-workers runs: shm (shared-memory "
-        "SPSC rings, the default) or pipe (pickle over os.pipe; slower, "
-        "kept for differential testing).  Sets PDES_TRANSPORT for this "
-        "process and every forked worker",
     )
     parser.add_argument(
         "--no-cache",
@@ -347,10 +335,6 @@ def main(argv: List[str] = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.pdes_workers < 0:
         parser.error("--pdes-workers must be >= 0")
-    if args.pdes_transport is not None:
-        # Environment rather than plumbing: forked pdes workers and pool
-        # subprocesses both inherit it.
-        os.environ["PDES_TRANSPORT"] = args.pdes_transport
 
     from ..exec import make_pool, stderr_progress
 
@@ -478,7 +462,6 @@ def main(argv: List[str] = None) -> int:
                 json_path,
                 trace_path=args.trace,
                 workers=args.pdes_workers or 4,
-                transport=args.pdes_transport,
             )
         except (ValueError, OSError) as exc:
             parser.error(str(exc))

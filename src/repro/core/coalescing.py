@@ -2,11 +2,11 @@
 
 When sending many small messages, per-message metadata would dominate the
 wire; YGM therefore bundles all messages sharing a next hop into one
-packet.  Each buffered *entry* is one application message (or one
-broadcast copy, or a whole batch of fixed-width records); a flush turns a
+packet.  Each buffered *entry* is a columnar run of scalar messages, one
+broadcast copy, or a whole batch of fixed-width records; a flush turns a
 buffer into a single transport packet.
 
-Every entry is charged :data:`ENTRY_HEADER_BYTES` of wire overhead on top
+Every message is charged :data:`ENTRY_HEADER_BYTES` of wire overhead on top
 of its payload -- identical for the scalar and the batch path, so routing
 schemes are compared on equal terms.
 """
@@ -21,32 +21,6 @@ import numpy as np
 #: Per-message wire overhead inside a coalesced packet (destination rank,
 #: length/type word).
 ENTRY_HEADER_BYTES = 8
-
-
-class P2PEntry:
-    """One buffered point-to-point message.
-
-    ``lin`` is the message's lineage id when the causal profiler is
-    enabled (:mod:`repro.trace.profile`), ``None`` otherwise; it rides
-    along through forwarding hops at no simulated cost.
-    """
-
-    __slots__ = ("dest", "payload", "nbytes", "lin")
-    kind = "p2p"
-
-    def __init__(self, dest: int, payload: Any, nbytes: int, lin=None):
-        self.dest = dest
-        self.payload = payload
-        self.nbytes = nbytes
-        self.lin = lin
-
-    @property
-    def count(self) -> int:
-        return 1
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.nbytes + ENTRY_HEADER_BYTES
 
 
 class BcastEntry:
@@ -103,17 +77,17 @@ class BatchEntry:
 class P2PColumns:
     """A run of point-to-point messages in struct-of-arrays layout.
 
-    The columnar counterpart of a run of :class:`P2PEntry` objects: one
-    NumPy array per field instead of one Python object per message.
+    The mailbox's one layout for scalar messages: one NumPy array per
+    field instead of one Python object per message.
     ``dests[i]`` is the final destination rank of message ``i``,
     ``payloads[i]`` its payload (an object column -- payloads stay
     arbitrary Python values until a handler boundary), ``nbytes[i]`` its
     wire size, and ``lins`` the parallel lineage-id column when the
     causal profiler is enabled (``None`` otherwise).
 
-    All columns are plain contiguous ndarrays, so a whole run pickles as
-    four buffers -- the layout a future PDES engine can ship between
-    worker processes without touching individual messages.
+    All columns are plain contiguous ndarrays, so the PDES wire codec
+    (:mod:`repro.pdes.wire`) ships a whole run between worker processes
+    as raw int64/float64 runs without touching individual messages.
     """
 
     __slots__ = ("dests", "payloads", "nbytes", "lins", "count", "wire_bytes")

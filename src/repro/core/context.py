@@ -166,23 +166,17 @@ class YgmContext:
         recv_batch: Optional[Callable[[np.ndarray], None]] = None,
         recv_bcast: Optional[Callable[[Any], None]] = None,
         capacity: Optional[int] = None,
-        columnar: Optional[bool] = None,
         combiner=None,
     ) -> Mailbox:
         """Create this rank's next mailbox (collective: same order everywhere).
 
-        ``columnar`` overrides the struct-of-arrays hot-path toggle (see
-        :class:`~repro.core.config.MailboxConfig`); the differential
-        tests pin the two paths bit-identical through it.  ``combiner``
-        attaches an in-network combining algebra
+        ``combiner`` attaches an in-network combining algebra
         (:class:`~repro.core.routing.combiner.Combiner`) for this
         mailbox's batch records.
         """
         config = self.default_config
         if capacity is not None:
             config = config.with_overrides(capacity=capacity)
-        if columnar is not None:
-            config = config.with_overrides(columnar=columnar)
         if combiner is not None:
             config = config.with_overrides(combiner=combiner)
         mb = Mailbox(
@@ -249,7 +243,6 @@ class YgmWorld:
         cores_per_node: int = 8,
         tracer=None,
         tiebreaker=None,
-        columnar: bool = MailboxConfig().columnar,
     ):
         if isinstance(machine, int):
             machine = bench_machine(nodes=machine, cores_per_node=cores_per_node)
@@ -263,9 +256,7 @@ class YgmWorld:
         # Adaptive schemes read live NIC occupancy; static schemes ignore this.
         scheme.bind_machine(self.world.machine)
         self.scheme = scheme
-        self.default_config = MailboxConfig(
-            capacity=mailbox_capacity, columnar=columnar
-        )
+        self.default_config = MailboxConfig(capacity=mailbox_capacity)
 
     @property
     def nranks(self) -> int:

@@ -34,7 +34,6 @@ from .coalescing import (
     CoalescingBuffer,
     ListPool,
     P2PColumns,
-    P2PEntry,
 )
 from .config import MailboxConfig
 from .stats import MailboxStats
@@ -86,8 +85,6 @@ class Mailbox:
         self._prof = tracer.lineage if tracer is not None else None
         #: Recycles handled packets' entry lists into fresh buffers.
         self._pool = ListPool()
-        #: Columnar (struct-of-arrays) scalar-message hot path toggle.
-        self._columnar = self.config.columnar
         #: In-network combining algebra (``None`` = pure re-binning).
         self._combiner = self.config.combiner
         self._queued = 0  # messages across all buffers
@@ -137,12 +134,9 @@ class Mailbox:
             t = self.ctx.sim.now
             lid = prof.new_message(self.rank, dest, t)
             prof.enqueue(lid, self.rank, hop, t)
-        if self._columnar:
-            # Struct-of-arrays hot path: the message joins the buffer's
-            # open columnar run; no per-message entry object exists.
-            self._buffer_for(hop).add_p2p(dest, payload, size, lid)
-        else:
-            self._buffer_for(hop).add(P2PEntry(dest, payload, size, lid))
+        # The message joins the buffer's open columnar run; no
+        # per-message entry object exists.
+        self._buffer_for(hop).add_p2p(dest, payload, size, lid)
         self._queued += 1
 
     def send(self, dest: int, payload: Any, nbytes: Optional[int] = None) -> Generator:
@@ -179,13 +173,6 @@ class Mailbox:
             return
         if dests.min() < 0 or dests.max() >= self.comm.size:
             raise ValueError(f"destination rank out of range [0, {self.comm.size})")
-        if not self._columnar:
-            # Reference (one-object-per-message) path: semantically a
-            # loop of ``post``; sizes resolve identically either way.
-            sizes = payload_nbytes_many(payloads, nbytes)
-            for i in range(n):
-                self.post(int(dests[i]), payloads[i], nbytes=int(sizes[i]))
-            return
         self.stats.app_messages_sent += n
         sizes = payload_nbytes_many(payloads, nbytes)
         # ``fromiter`` with object dtype stores the caller's exact
@@ -521,18 +508,7 @@ class Mailbox:
         prof = self._prof
         for entry in pkt.payload:
             kind = entry.kind
-            if kind == "p2p":
-                stats.entries_received += 1
-                if entry.dest == rank:
-                    self._deliver_p2p(entry.payload, entry.lin)
-                else:
-                    stats.entries_forwarded += 1
-                    hop = self.scheme.next_hop(rank, entry.dest)
-                    if prof is not None and entry.lin is not None:
-                        prof.enqueue(entry.lin, rank, hop, self.ctx.sim.now)
-                    self._buffer_for(hop).add(entry)
-                    self._queued += 1
-            elif kind == "p2p_cols":
+            if kind == "p2p_cols":
                 stats.entries_received += entry.count
                 dests = entry.dests
                 here = dests == rank
@@ -595,7 +571,8 @@ class Mailbox:
         Deliveries run per message (the handler boundary); forwards are
         *deferred* -- only their column indices accumulate -- and re-bin
         in one vectorized call afterwards.  The deferral is what keeps
-        the interleaving bit-identical to the per-entry path: a receive
+        the interleaving bit-identical to the frozen per-entry reference
+        (``tests/core/reference_object_mailbox.py``): a receive
         callback may post follow-on messages whose buffer position
         depends on the deliver-vs-forward order, so every ``post*``
         entry point first flushes the forwards deferred *so far*

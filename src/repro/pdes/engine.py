@@ -36,10 +36,10 @@ window among themselves:
    while quiet phases collapse exchanges ~``K``-fold.
 
 Batches move through :mod:`repro.pdes.rings`: shared-memory SPSC rings
-per worker pair in the pickle-free :mod:`repro.pdes.wire` format, and a
-per-pair pipe carrying one frame per window that announces the batch
-and wakes the peer.  ``PDES_TRANSPORT=pipe`` (``PdesWorld(transport=
-"pipe")``) runs the same loop with each batch pickled into its frame.
+per worker pair in the :mod:`repro.pdes.wire` format, and a per-pair
+pipe carrying one frame per window that announces the batch and wakes
+the peer.  Every payload takes this one path: a value the serde codec
+refuses crosses as a pickled envelope inside the wire format.
 
 The driver is off the per-window path: it forks and releases the
 workers, supervises them -- a stall (no new round header within
@@ -68,7 +68,10 @@ from ..core.stats import aggregate
 from ..machine import MachineConfig, bench_machine
 from ..sim.errors import DeadlockError
 from .partition import NodePartition
-from .rings import RingError, ShmTransport, close_fds, merge_stats, open_pipes
+from .rings import (
+    DEFAULT_RING_BYTES, RingError, ShmTransport, close_fds, merge_stats,
+    open_pipes,
+)
 from .wire import decode_batch
 from .worker import (
     CMD_CLOCK,
@@ -128,10 +131,9 @@ class PdesWorld:
         cores_per_node: int = 8,
         tracer=None,
         tiebreaker=None,
-        columnar: bool = MailboxConfig().columnar,
         workers: int = 2,
         window_timeout: float = 120.0,
-        transport: Optional[str] = None,
+        transport: str = "shm",
         window_batch: Optional[int] = None,
         ring_bytes: Optional[int] = None,
         flight: Any = False,
@@ -147,9 +149,7 @@ class PdesWorld:
         elif (scheme.nodes, scheme.cores) != (machine.nodes, machine.cores_per_node):
             raise ValueError("routing scheme shape does not match the machine")
         self.scheme = scheme
-        self.default_config = MailboxConfig(
-            capacity=mailbox_capacity, columnar=columnar
-        )
+        self.default_config = MailboxConfig(capacity=mailbox_capacity)
         self.partition = NodePartition(
             machine.nodes, machine.cores_per_node, workers
         )
@@ -161,19 +161,15 @@ class PdesWorld:
                 "zero-latency interconnect admits no parallel window"
             )
         self.window_timeout = window_timeout
-        if transport is None:
-            transport = os.environ.get("PDES_TRANSPORT", "shm")
-        if transport not in ("pipe", "shm"):
+        # ``transport`` names the one export plane; it stays a keyword
+        # only so callers that spell it out keep working.
+        if transport != "shm":
             raise PdesError(
-                f"unknown PDES transport {transport!r} "
-                "(expected 'pipe' or 'shm')"
+                f"unknown PDES transport {transport!r} (the shared-memory "
+                "ring mesh, 'shm', is the only one)"
             )
-        #: Export-batch transport: ``"shm"`` ships batches through the
-        #: shared-memory ring mesh, ``"pipe"`` pickles them into the peer
-        #: frames (the same window loop, kept for differential testing).
-        self.transport = transport
         if window_batch is None:
-            window_batch = int(os.environ.get("PDES_WINDOW_BATCH", "0"))
+            window_batch = _env_int("PDES_WINDOW_BATCH", 0)
         if window_batch < 0:
             raise PdesError(
                 f"window_batch must be >= 0 (0 selects the adaptive "
@@ -182,6 +178,8 @@ class PdesWorld:
         #: Window-batch factor K; 0 = adaptive, 1 = the common horizon,
         #: k > 1 = up to k lookahead windows per exchange.
         self.window_batch = window_batch
+        if ring_bytes is None:
+            ring_bytes = _env_int("PDES_RING_BYTES", DEFAULT_RING_BYTES)
         self.ring_bytes = ring_bytes
         #: Flight-recorder spec (:class:`~repro.pdes.flight.FlightSpec`)
         #: or ``None``.  ``flight=True`` selects the default spec; off by
@@ -203,11 +201,11 @@ class PdesWorld:
             tracer.bind(
                 nodes=machine.nodes, cores_per_node=machine.cores_per_node
             )
-        #: :class:`~repro.pdes.rings.RingStats` dicts of the last shm
-        #: run (``{"to_worker": [...], "from_worker": [...]}``, see
+        #: :class:`~repro.pdes.rings.RingStats` dicts of the last run
+        #: (``{"to_worker": [...], "from_worker": [...]}``, see
         #: :func:`_ring_stats`), gathered from the worker results so they
-        #: stay readable post-run; ``None`` before the first run, under
-        #: the pipe transport or with one worker.
+        #: stay readable post-run; ``None`` before the first run or with
+        #: one worker.
         self.ring_stats: Optional[dict] = None
         #: Window-protocol counters of the last :meth:`run` (diagnostics).
         self.rounds = 0
@@ -231,9 +229,7 @@ class PdesWorld:
         # the one mapping (nothing is pickled, nothing re-attaches by
         # name), so only the driver's resource tracker registers it and
         # the single unlink in run()'s finally leaves it quiet.
-        self._rings = ShmTransport(
-            self.nworkers, self.ring_bytes, with_rings=self.transport == "shm"
-        )
+        self._rings = ShmTransport(self.nworkers, self.ring_bytes)
         pipes = open_pipes(self.nworkers)
         log_windows = self.tracer is not None and self.tracer.wants("pdes")
         try:
@@ -248,7 +244,6 @@ class PdesWorld:
                     default_config=self.default_config,
                     rank_main=rank_main,
                     tiebreaker=self.tiebreaker,
-                    transport=self.transport,
                     segment=self._rings,
                     pipes=pipes,
                     window_batch=self.window_batch,
@@ -390,19 +385,19 @@ class PdesWorld:
         mesh = self._rings.mesh
         notes = []
         for p in parts:
-            outs = [r for r in mesh[p] if r is not None]
+            peers = [q for q in range(self.nworkers) if q != p]
             if drain:
-                notes.append(_drain_note(p, outs))
+                notes.append(_drain_note(p, [mesh[p][q] for q in peers]))
                 continue
-            for q in range(self.nworkers):
+            for q in peers:
                 imp, exp = mesh[q][p], mesh[p][q]
-                if imp is not None and (imp.used or imp.refusals):
+                if imp.used or imp.refusals:
                     notes.append(
                         f"; partition {p} import ring from partition {q}: "
                         f"{imp.used} byte(s) unread of {imp.capacity} "
                         f"({imp.refusals} spill(s))"
                     )
-                if exp is not None and exp.used:
+                if exp.used:
                     notes.append(
                         f"; partition {p} export ring to partition {q}: "
                         f"{exp.used} byte(s) undelivered of {exp.capacity}"
@@ -498,7 +493,6 @@ class PdesWorld:
                 offsets=offsets,
                 meta={
                     "workers": self.nworkers,
-                    "transport": self.transport,
                     "rounds": self.rounds,
                     "lookahead": self.lookahead,
                     "window_batch": self.window_batch,
@@ -604,6 +598,18 @@ class PdesWorld:
                     f"({slot['sent']}, {slot['recv']}) != agreed totals "
                     f"{tuple(slot['totals'])}"
                 )
+
+
+def _env_int(name: str, default: int) -> int:
+    """An integer setting from the environment; a malformed value is a
+    :class:`PdesError` naming the variable."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise PdesError(f"{name}={raw!r} is not an integer") from None
 
 
 def _drain_note(p: int, rings) -> str:

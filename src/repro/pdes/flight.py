@@ -8,7 +8,7 @@ closes that blind spot.  When enabled (``PdesWorld(flight=True)``):
   clock, one cause per bucket (:data:`WORKER_PHASES`): ``import-drain``
   (fetching the batches peers announced + injection), ``compute`` (the
   unchanged serial kernel pumping events), ``export-serialize`` (the
-  columnar wire encode, or the pickle under the pipe transport),
+  columnar wire encode),
   ``ring-push`` (the SPSC pushes), ``peer-signal`` (storing the round
   header and writing the peer frames), ``barrier-wait`` (waiting for
   every peer's frame) and ``horizon`` (the window rule) -- plus
@@ -150,8 +150,8 @@ class WorkerFlight:
         sim = runtime.sim
         samples = self.tracer.progress_samples if self.tracer else None
         seg, part, peers = runtime.segment, runtime.part, runtime.peers
-        out_rings = [seg.ring(part, q) for q in peers if seg.ring(part, q)]
-        in_rings = [seg.ring(q, part) for q in peers if seg.ring(q, part)]
+        out_rings = [seg.ring(part, q) for q in peers]
+        in_rings = [seg.ring(q, part) for q in peers]
         to = [seg.ring(part, q) for q in range(runtime.nparts)]
 
         def sample_progress():
@@ -245,7 +245,7 @@ class FlightLog:
     #: Per-partition clock offsets from :func:`estimate_offset`
     #: (``t_driver = t_worker - offset``).
     offsets: List[float]
-    #: Engine facts for the report (transport, rounds, counters, ...).
+    #: Engine facts for the report (workers, rounds, counters, ...).
     meta: Dict[str, Any] = field(default_factory=dict)
 
     # -- clock alignment ---------------------------------------------------

@@ -5,10 +5,9 @@ between.  One :class:`multiprocessing.shared_memory.SharedMemory`
 segment per run (:class:`ShmTransport`) holds one fixed-size **round
 header** per worker (:class:`RoundHeader`: the facts the window rule
 needs), double-buffered by exchange parity so a fast worker's next
-header never overwrites one a slow peer is still reading, and -- under
-the shm transport -- one **SPSC ring** per ordered worker pair carrying
-export batches in the :mod:`repro.pdes.wire` format, one ``memcpy`` in
-and one out.  Each ring slot is::
+header never overwrites one a slow peer is still reading, and one **SPSC
+ring** per ordered worker pair carrying export batches in the
+:mod:`repro.pdes.wire` format, one ``memcpy`` in and one out.  Each ring slot is::
 
     [ tail u64 | pad | head u64 | pad | spills u64 | pad | data[capacity] ]
       ^0               ^64              ^128               ^192
@@ -57,8 +56,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .wire import decode_batch, encode_batch
 
-#: Default per-ring capacity (bytes); override with ``PDES_RING_BYTES``
-#: or ``PdesWorld(ring_bytes=...)``.
+#: Default per-ring capacity (bytes); ``PdesWorld`` takes another from
+#: ``ring_bytes=`` or the ``PDES_RING_BYTES`` environment variable.
 DEFAULT_RING_BYTES = 1 << 20
 
 #: Slot geometry: tail, head and spill counters on separate cache lines.
@@ -282,20 +281,14 @@ class RoundHeader(NamedTuple):
 
 
 class ShmTransport:
-    """The run's shared segment: round headers plus the ring mesh
-    (headers only with ``with_rings=False``, the pipe transport).
+    """The run's shared segment: round headers plus the ring mesh.
 
     Every process holds its own :class:`SpscRing` objects over the one
     inherited mapping; only the driver calls :meth:`unlink`, every
     process calls :meth:`close`.
     """
 
-    def __init__(
-        self, nworkers: int, ring_bytes: Optional[int] = None,
-        with_rings: bool = True,
-    ):
-        if ring_bytes is None:
-            ring_bytes = int(os.environ.get("PDES_RING_BYTES", DEFAULT_RING_BYTES))
+    def __init__(self, nworkers: int, ring_bytes: int = DEFAULT_RING_BYTES):
         if ring_bytes < 4096:
             raise ValueError(f"ring_bytes too small: {ring_bytes}")
         self.ring_bytes = ring_bytes
@@ -305,7 +298,7 @@ class ShmTransport:
         self._hdr = struct.Struct(f"<qdqddqqq{n}d")
         self._hslot = -(-self._hdr.size // 64) * 64
         rslot = _DATA_OFF + ring_bytes
-        nrings = n * (n - 1) if with_rings else 0
+        nrings = n * (n - 1)
         hbytes = 2 * n * self._hslot
         self.name = f"repro_pdes_{os.getpid()}_{secrets.token_hex(4)}"
         self._shm = shared_memory.SharedMemory(
@@ -314,10 +307,10 @@ class ShmTransport:
         buf = self._shm.buf
         self._headers = buf[:hbytes]
         #: ``mesh[src][dst]``: the ring from ``src`` to ``dst`` (``None``
-        #: on the diagonal and without rings).
+        #: on the diagonal).
         self.mesh: List[List[Optional[SpscRing]]] = [[None] * n for _ in range(n)]
         pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
-        for i, (src, dst) in enumerate(pairs[:nrings]):
+        for i, (src, dst) in enumerate(pairs):
             off = hbytes + i * rslot
             self.mesh[src][dst] = SpscRing(buf[off:off + rslot], ring_bytes)
         self._closed = False

@@ -1,4 +1,4 @@
-"""The pickle-free wire codec for cross-partition export batches.
+"""The serde-based wire codec for cross-partition export batches.
 
 One export batch is every packet a partition put on the wire during one
 window round: a list of ``(t_wire, src, dst, nbytes, Packet)`` tuples.
@@ -23,6 +23,7 @@ packet::
     payload := M_COLS1 cols           -- exactly [one P2PColumns]
              | M_ENTRIES n entry[n]   -- mixed coalescing-entry list
              | M_OBJ serde-object | M_BYTEARRAY serde-bytes
+             | M_PICKLE serde-bytes   -- a value serde refuses, pickled
     cols    := 1 n lflag mode         -- fast form: dests, nbytes,
                                       [lins], and an all-int/all-float
                                       payload column live in the side
@@ -34,9 +35,12 @@ Scalars and objects go through serde ``pack_into``/``unpack_from``; the
 appended raw to one of two side streams and recovered with a single
 ``np.frombuffer`` + copy per stream, then sliced per entry.  Slices of
 one writable base are handed to :class:`P2PColumns` directly (disjoint
-ranges, so entry columns stay independently mutable).  There is no
-``pickle`` anywhere on this path (``tools/hotpath_lint.py`` enforces
-that).
+ranges, so entry columns stay independently mutable).  ``pickle`` runs
+only for a payload value serde refuses (an unregistered class, alone or
+nested in a container): :func:`_pack_obj` then writes it as a pickled
+envelope, so every payload crosses partitions through this one codec.
+``tools/hotpath_lint.py`` keeps pickle out of the rest of the PDES
+export path.
 
 Packet meta is dictionary-encoded: batches repeat a handful of
 ``(ctx, kind, tag)`` combinations thousands of times, so each record
@@ -52,12 +56,13 @@ back to per-element serde, preserving bit-identical payload objects.
 
 from __future__ import annotations
 
+import pickle
 from array import array
 from typing import List
 
 import numpy as np
 
-from ..core.coalescing import BatchEntry, BcastEntry, P2PColumns, P2PEntry
+from ..core.coalescing import BatchEntry, BcastEntry, P2PColumns
 from ..mpi.envelope import Packet
 from ..serde.packer import (
     SerdeError,
@@ -72,10 +77,10 @@ PAYLOAD_OBJ = 0
 PAYLOAD_BYTEARRAY = 1
 PAYLOAD_ENTRIES = 2
 PAYLOAD_COLS1 = 3  # the common case: exactly [one P2PColumns]
+PAYLOAD_PICKLE = 4  # envelope for a value serde refuses
 
 #: Coalescing-entry tags inside a PAYLOAD_ENTRIES list.
 E_OBJ = 0  # not an entry object: generic serde element
-E_P2P = 1
 E_BCAST = 2
 E_BATCH = 3
 E_COLS = 4
@@ -86,7 +91,6 @@ COL_FLOAT64 = 1
 COL_OBJECTS = 2
 
 _ENTRY_TAGS = {
-    P2PEntry: E_P2P,
     BcastEntry: E_BCAST,
     BatchEntry: E_BATCH,
     P2PColumns: E_COLS,
@@ -108,33 +112,39 @@ class WireError(RuntimeError):
 
 # -- payload objects ---------------------------------------------------------
 def _pack_obj(out: bytearray, obj) -> None:
-    """One payload value: generic serde, with a bytearray escape.
+    """One payload value: generic serde, with two escapes.
 
     The serde packer deliberately has no bytearray tag (it would be
     ambiguous with bytes on the unpack side); app payloads may still be
     bytearrays, so flag them explicitly and restore the type on decode.
+    A value serde refuses travels as a pickled envelope instead.  serde
+    may already have written part of a container when it meets the
+    value it refuses, so those bytes are cut before the envelope.
     """
     if type(obj) is bytearray:
         out.append(PAYLOAD_BYTEARRAY)
         pack_into(out, bytes(obj))
-    else:
-        out.append(PAYLOAD_OBJ)
-        try:
-            pack_into(out, obj)
-        except SerdeError as exc:
-            raise WireError(
-                f"payload {type(obj).__name__!r} is not serde-packable; "
-                "register the type (repro.serde.register) or run with "
-                "PDES_TRANSPORT=pipe"
-            ) from exc
+        return
+    start = len(out)
+    out.append(PAYLOAD_OBJ)
+    try:
+        pack_into(out, obj)
+    except SerdeError:
+        del out[start:]
+        out.append(PAYLOAD_PICKLE)
+        pack_into(out, pickle.dumps(obj))
 
 
 def _unpack_obj(buf, pos):
     marker = buf[pos]
     obj, pos = unpack_from(buf, pos + 1)
+    if marker == PAYLOAD_OBJ:
+        return obj, pos
     if marker == PAYLOAD_BYTEARRAY:
-        obj = bytearray(obj)
-    return obj, pos
+        return bytearray(obj), pos
+    if marker == PAYLOAD_PICKLE:
+        return pickle.loads(obj), pos
+    raise WireError(f"unknown payload marker {marker}")
 
 
 # -- P2PColumns --------------------------------------------------------------
@@ -285,9 +295,6 @@ def _pack_entry(rec: bytearray, ibuf: bytearray, fbuf: bytearray, entry):
     rec.append(tag)
     if tag == E_COLS:
         _pack_cols(rec, ibuf, fbuf, entry)
-    elif tag == E_P2P:
-        pack_into(rec, (entry.dest, entry.nbytes, entry.lin))
-        _pack_obj(rec, entry.payload)
     elif tag == E_BCAST:
         pack_into(rec, (entry.origin, entry.nbytes, entry.lin))
         _pack_obj(rec, entry.payload)
@@ -304,10 +311,6 @@ def _unpack_entry(buf, pos, istream, fstream, io, fo):
     pos += 1
     if tag == E_COLS:
         return _unpack_cols(buf, pos, istream, fstream, io, fo)
-    if tag == E_P2P:
-        (dest, nbytes, lin), pos = unpack_from(buf, pos)
-        payload, pos = _unpack_obj(buf, pos)
-        return P2PEntry(dest, payload, nbytes, lin), pos, io, fo
     if tag == E_BCAST:
         (origin, nbytes, lin), pos = unpack_from(buf, pos)
         payload, pos = _unpack_obj(buf, pos)
@@ -506,13 +509,8 @@ def decode_batch(buf) -> List[tuple]:
                     buf, pos, istream, fstream, io, fo
                 )
                 payload.append(entry)
-        elif marker == PAYLOAD_OBJ:
-            payload, pos = unpack_from(buf, pos)
-        elif marker == PAYLOAD_BYTEARRAY:
-            payload, pos = unpack_from(buf, pos)
-            payload = bytearray(payload)
-        else:
-            raise WireError(f"unknown payload marker {marker}")
+        else:  # an object marker: _unpack_obj reads it again
+            payload, pos = _unpack_obj(buf, pos - 1)
         # Bypass the dataclass __init__ (it's ~2x the cost of a dict
         # literal and this runs once per packet); field order matches
         # the dataclass declaration so repr/eq behave identically.

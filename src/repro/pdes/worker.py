@@ -20,8 +20,8 @@ themselves.  Each *exchange* (one per window) is seven phases, the
 flight recorder's buckets:
 
 1. ``import-drain`` -- fetch the batches peers announced last exchange
-   (ring record, spilled bytes, or the pipe transport's pickled list)
-   and inject them with this partition's own re-entering exports;
+   (a ring record or spilled bytes) and inject them with this
+   partition's own re-entering exports;
 2. ``compute`` -- pump the serial kernel up to this window's horizon;
 3. ``export-serialize`` -- per destination, note the earliest arrival
    and encode the window's exports;
@@ -45,7 +45,6 @@ import math
 import os
 import traceback
 from dataclasses import dataclass
-from multiprocessing.reduction import ForkingPickler
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
@@ -87,9 +86,6 @@ class WorkerSpec:
     default_config: MailboxConfig
     rank_main: Any
     tiebreaker: Any = None
-    #: ``"shm"`` ships export batches through the shared-memory ring
-    #: mesh; ``"pipe"`` pickles them into the peer frames instead.
-    transport: str = "shm"
     segment: Any = None  # the run's ShmTransport, shared via fork
     pipes: Any = None  # (src, dst) -> (read fd, write fd) per peer pipe
     window_batch: int = 0  # K; 0 = adaptive
@@ -220,7 +216,6 @@ class PartitionRuntime:
         cores = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
         spin_s = SPIN_SECONDS if nparts <= len(cores(0)) else 0.0
         self.links = PeerLinks(part, spec.pipes, spin_s)
-        self.pickled = spec.transport == "pipe"
         self._outbox: List[List[tuple]] = [[] for _ in range(nparts)]
         self._scratch = [bytearray() for _ in range(nparts)]
         self._batches: List[Any] = [None] * nparts
@@ -463,13 +458,11 @@ class PartitionRuntime:
             if q == self.part:
                 imports += self._self_imports
             else:
-                imports += self._fetch(q, self._descs.get(q, DESC_NONE))
+                imports += recv_batch(
+                    self.segment.ring(q, self.part),
+                    self._descs.get(q, DESC_NONE),
+                )
         self.inject(imports)
-
-    def _fetch(self, q: int, desc) -> List[tuple]:
-        if self.pickled:
-            return ForkingPickler.loads(desc[1]) if desc[0] == "spill" else []
-        return recv_batch(self.segment.ring(q, self.part), desc)
 
     def advance(self) -> None:
         horizon, heap = self.horizon, self.sim._heap
@@ -496,10 +489,6 @@ class PartitionRuntime:
                 outbox[q] = []
             if q == self.part:
                 self._self_imports = batch
-            elif not batch:
-                self._batches[q] = None
-            elif self.pickled:
-                self._batches[q] = ForkingPickler.dumps(batch)
             else:
                 self._batches[q] = encode_exports(batch, self._scratch[q])
         self._n_exports = n
@@ -508,17 +497,12 @@ class PartitionRuntime:
         """Push every encoded batch into the ring towards its partition."""
         spills = 0
         for q in self.peers:
-            batch = self._batches[q]
-            if batch is None:
-                desc = DESC_NONE
-            elif self.pickled:
-                desc = ("spill", batch)
-            else:
-                desc = push_encoded(
-                    self.segment.ring(self.part, q), self._scratch[q], batch
-                )
-                if desc[0] == "spill":
-                    spills += 1
+            desc = push_encoded(
+                self.segment.ring(self.part, q), self._scratch[q],
+                self._batches[q],
+            )
+            if desc[0] == "spill":
+                spills += 1
             self._batches[q] = desc
         self._n_spills = spills
 
@@ -602,10 +586,10 @@ class PartitionRuntime:
 
     def ring_endpoints(self) -> Optional[dict]:
         """This process's RingStats per ring ``(src, dst)`` it produces
-        into or consumes (``None`` without rings)."""
+        into or consumes (``None`` with one partition: no rings)."""
         seg, part = self.segment, self.part
         rings = [(part, q) for q in self.peers] + [(q, part) for q in self.peers]
-        if not rings or seg.ring(*rings[0]) is None:
+        if not rings:
             return None
         return {key: seg.ring(*key).stats.as_dict() for key in rings}
 

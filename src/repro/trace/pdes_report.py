@@ -260,8 +260,8 @@ def _ring_table(doc: dict) -> str:
         )
     if not rows:
         return (
-            '<p class="note">No ring telemetry (pipe transport or a '
-            "single partition).</p>"
+            '<p class="note">No ring telemetry (a single partition has '
+            "no rings).</p>"
         )
     head = (
         "<tr><th class='l'>export rings</th><th>batches</th><th>bytes</th>"
@@ -300,7 +300,7 @@ def _rounds_svg(doc: dict) -> str:
 
 def _meta_table(meta: dict) -> str:
     keys = (
-        "workers", "transport", "nodes", "cores_per_node", "rounds",
+        "workers", "nodes", "cores_per_node", "rounds",
         "window_batch", "max_window_batch", "exported_packets",
         "spilled_batches", "lookahead", "elapsed_sim",
     )
@@ -318,8 +318,7 @@ def render_html(doc: dict) -> str:
     se = doc["serial_equivalent"]
     meta = doc.get("meta", {})
     title = (
-        f"PDES overhead attribution: {meta.get('workers', '?')} workers, "
-        f"{meta.get('transport', '?')} transport"
+        f"PDES overhead attribution: {meta.get('workers', '?')} workers"
     )
     body = [
         f"<h1>{html.escape(title)}</h1>",

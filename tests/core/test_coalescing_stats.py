@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import ENTRY_HEADER_BYTES, MailboxStats, aggregate
-from repro.core.coalescing import BatchEntry, BcastEntry, CoalescingBuffer, P2PEntry
+from repro.core.coalescing import BatchEntry, BcastEntry, CoalescingBuffer
 from repro.core.config import MailboxConfig
+from tests.core.reference_object_mailbox import P2PEntry
 
 
 # ---------------------------------------------------------------- entries

@@ -1,11 +1,12 @@
 """Columnar <-> object boundary equivalence (the PR 6 tentpole pin).
 
-The struct-of-arrays hot path (``MailboxConfig.columnar``) must be
-invisible to everything above the coalescing layer: identical delivered
-values *and delivery order*, identical stats and simulated time, and
-per-message wire sizes byte-identical to the frozen reference packer.
-These tests run the same workloads through both paths across every
-registered routing scheme and diff the results exactly.
+The struct-of-arrays mailbox must be invisible to everything above the
+coalescing layer: identical delivered values *and delivery order*,
+identical stats and simulated time, and per-message wire sizes
+byte-identical to the frozen reference packer.  These tests run the
+same workloads through the library mailbox and the frozen
+one-object-per-message reference (``reference_object_mailbox.py``)
+across every registered routing scheme and diff the results exactly.
 """
 
 import pickle
@@ -24,6 +25,7 @@ from repro.core.routing import SCHEMES
 from repro.machine import small
 from repro.mpi.sizes import payload_nbytes_many
 from repro.serde import packed_size_many
+from tests.core import reference_object_mailbox
 from tests.serde import reference_packer
 
 ALL_SCHEMES = list(SCHEMES)
@@ -143,14 +145,18 @@ def _scalar_workload(msgs, capacity, with_self, with_chain, with_bcast):
 
 
 def _run(scheme, columnar, rank_main, nodes=3, cores=2, seed=0):
+    """Run on the library mailbox, or with ``columnar=False`` on the
+    frozen object-path reference."""
     world = YgmWorld(
         small(nodes=nodes, cores_per_node=cores),
         scheme=scheme,
         seed=seed,
         mailbox_capacity=2**14,
-        columnar=columnar,
     )
-    return world.run(rank_main)
+    if columnar:
+        return world.run(rank_main)
+    with reference_object_mailbox.installed():
+        return world.run(rank_main)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -229,6 +235,20 @@ def test_post_many_agrees_with_scalar_post_loop(scheme):
     assert a.values == b.values
 
 
+def test_reference_run_uses_the_object_path():
+    """The differentials above are not vacuous: ``_run(..., False)``
+    really builds the frozen reference mailbox."""
+
+    def rank_main(ctx):
+        mb = ctx.mailbox(recv=lambda v: None)
+        yield from mb.wait_empty()
+        return type(mb)
+
+    ref = reference_object_mailbox.ReferenceObjectMailbox
+    assert set(_run("nlnr", False, rank_main).values) == {ref}
+    assert ref not in _run("nlnr", True, rank_main).values
+
+
 def test_post_many_delivers_self_messages_in_index_order():
     def rank_main(ctx):
         got = []
@@ -284,7 +304,6 @@ def test_columnar_lineage_stays_aligned():
         seed=0,
         mailbox_capacity=2**14,
         tracer=tracer,
-        columnar=True,
     )
     world.run(rank_main)
     prof = tracer.lineage
@@ -322,7 +341,6 @@ def test_profiled_columnar_run_is_unperturbed():
             seed=0,
             mailbox_capacity=2**14,
             tracer=tracer,
-            columnar=True,
         )
         return world.run(rank_main)
 

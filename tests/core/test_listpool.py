@@ -1,6 +1,7 @@
 """Tests for the coalescing-buffer list pool (flush-path allocation reuse)."""
 
-from repro.core.coalescing import CoalescingBuffer, ListPool, P2PEntry
+from repro.core.coalescing import CoalescingBuffer, ListPool
+from tests.core.reference_object_mailbox import P2PEntry
 
 
 def _entry(dest=0, nbytes=4):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import RecordSpec, YgmWorld
-from repro.core.coalescing import P2PEntry
+from repro.core.coalescing import P2PColumns
 from repro.core.routing import SCHEMES
 from repro.machine import small
 from repro.mpi.envelope import Packet
@@ -536,9 +536,12 @@ def test_hybrid_nlnr_faster_than_nlnr():
 
 # ------------------------------------------------------ wait_any_traffic races
 def _app_packet(mb, payload):
+    payloads = np.empty(1, dtype=object)
+    payloads[0] = payload
+    cols = P2PColumns(np.zeros(1, np.int64), payloads, np.full(1, 8, np.int64))
     return Packet(
         src=0, dst=0, ctx=mb.comm.ctx, kind=mb._app_kind, tag=0,
-        payload=[P2PEntry(0, payload, 8)], nbytes=8,
+        payload=[cols], nbytes=8,
     )
 
 

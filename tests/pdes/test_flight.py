@@ -3,7 +3,7 @@ attribution schema, clock alignment and ring telemetry.
 
 The recorder's contract has two halves.  *On*, it may only read
 simulated state: a flight-recorded run must stay bit-identical to the
-serial oracle across transports and partition counts.  *Off*, the
+serial oracle across partition counts.  *Off*, the
 worker window path may pay exactly one cached-attribute check and the
 per-event pump loop must not mention the recorder at all -- enforced
 structurally (bytecode inspection) rather than by timing, so the test
@@ -30,7 +30,7 @@ from repro.pdes import (
     assert_equivalent,
     estimate_offset,
 )
-from repro.pdes.rings import PeerLinks
+from repro.pdes.rings import PeerLinks, recv_batch
 from repro.pdes.worker import PartitionRuntime, WorkerSpec
 from repro.trace import Tracer
 from repro.trace.pdes_report import (
@@ -56,19 +56,18 @@ def _serial():
     return YgmWorld(8, scheme="nlnr", seed=1, cores_per_node=2).run(chatter)
 
 
-def _flight_world(workers, transport, **kw):
+def _flight_world(workers, **kw):
     return PdesWorld(
         8, scheme="nlnr", seed=1, cores_per_node=2, workers=workers,
-        transport=transport, flight=True, **kw,
+        flight=True, **kw,
     )
 
 
 # -- non-perturbation ---------------------------------------------------------
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
-def test_recording_is_bit_identical_to_serial(transport, workers):
+def test_recording_is_bit_identical_to_serial(workers):
     serial = _serial()
-    engine = _flight_world(workers, transport)
+    engine = _flight_world(workers)
     parallel = engine.run(chatter)
     assert_equivalent(parallel, serial)
     log = engine.flight_log
@@ -87,7 +86,7 @@ def test_recording_is_bit_identical_to_serial(transport, workers):
 WINDOW_PATH = (
     PartitionRuntime.run_windows,
     PartitionRuntime.import_batches,
-    PartitionRuntime._fetch,
+    recv_batch,
     PartitionRuntime.inject,
     PartitionRuntime.advance,
     PartitionRuntime.pump,
@@ -176,7 +175,7 @@ def test_offset_estimator_uses_the_min_rtt_probe():
 
 
 def test_clock_offsets_are_small_on_a_shared_monotonic_clock():
-    engine = _flight_world(2, "shm")
+    engine = _flight_world(2)
     engine.run(chatter)
     # Linux perf_counter is system-wide CLOCK_MONOTONIC: the handshake
     # estimate must come out far below a millisecond.
@@ -186,7 +185,7 @@ def test_clock_offsets_are_small_on_a_shared_monotonic_clock():
 
 # -- attribution document -----------------------------------------------------
 def test_attribution_validates_and_tiles_the_wall_clock(tmp_path):
-    engine = _flight_world(4, "shm")
+    engine = _flight_world(4)
     engine.run(chatter)
     doc = engine.flight_log.attribution()
     validate(doc)  # raises on schema/coverage violations
@@ -211,7 +210,7 @@ def test_attribution_validates_and_tiles_the_wall_clock(tmp_path):
 
 
 def test_validation_rejects_malformed_documents():
-    engine = _flight_world(2, "shm")
+    engine = _flight_world(2)
     engine.run(chatter)
     doc = engine.flight_log.attribution()
     bad = dict(doc, schema=999)
@@ -236,7 +235,7 @@ def test_validation_rejects_malformed_documents():
 
 
 def test_report_html_is_self_contained(tmp_path):
-    engine = _flight_world(2, "shm")
+    engine = _flight_world(2)
     engine.run(chatter)
     html = render_html(engine.flight_log.attribution())
     # Self-contained: no external fetches of any kind.
@@ -310,7 +309,7 @@ def test_ring_stats_count_pushes_pops_highwater_and_spills():
 
 
 def test_ring_stats_survive_the_run():
-    engine = _flight_world(2, "shm")
+    engine = _flight_world(2)
     engine.run(chatter)
     stats = engine.ring_stats
     assert stats is not None

@@ -1,11 +1,11 @@
 """Transport and window-batching differentials (satellite: differential).
 
 The shm-ring transport and the window-batch horizons are pure
-mechanism: every (transport, K) combination must reproduce the serial
-run bit for bit, window batching must actually collapse barrier rounds
-on quiet workloads, and a worker that dies holding encoded exports in
-its ring must have that traffic drained and named in the error -- not
-silently dropped or misattributed as a stall.
+mechanism: every K must reproduce the serial run bit for bit, window
+batching must actually collapse barrier rounds on quiet workloads, and
+a worker that dies holding encoded exports in its ring must have that
+traffic drained and named in the error -- not silently dropped or
+misattributed as a stall.  Malformed settings name their cause.
 """
 
 import os
@@ -35,27 +35,29 @@ def chatter(ctx):
 
 
 @pytest.mark.parametrize("window_batch", [1, 0, 4], ids=["k1", "adaptive", "k4"])
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
-def test_every_transport_and_batching_mode_is_bit_identical(
-    transport, window_batch
-):
+def test_every_transport_and_batching_mode_is_bit_identical(window_batch):
     serial = YgmWorld(8, scheme="nlnr", seed=1, cores_per_node=2).run(chatter)
     engine = PdesWorld(
         8, scheme="nlnr", seed=1, cores_per_node=2, workers=4,
-        transport=transport, window_batch=window_batch,
+        window_batch=window_batch,
     )
     parallel = engine.run(chatter)
     assert_equivalent(parallel, serial)
     assert engine.exported_packets > 0
 
 
-def test_transport_env_variable_selects_the_default(monkeypatch):
-    monkeypatch.setenv("PDES_TRANSPORT", "pipe")
-    assert PdesWorld(4, workers=2).transport == "pipe"
-    monkeypatch.setenv("PDES_TRANSPORT", "shm")
-    assert PdesWorld(4, workers=2).transport == "shm"
-    monkeypatch.setenv("PDES_TRANSPORT", "smoke-signals")
-    with pytest.raises(PdesError, match="unknown PDES transport"):
+def test_unknown_transport_is_refused():
+    assert PdesWorld(4, workers=2, transport="shm").nworkers == 2
+    with pytest.raises(PdesError, match="unknown PDES transport 'pipe'"):
+        PdesWorld(4, workers=2, transport="pipe")
+
+
+@pytest.mark.parametrize(
+    "name, value", [("PDES_WINDOW_BATCH", "auto"), ("PDES_RING_BYTES", "1M")]
+)
+def test_malformed_environment_value_names_the_variable(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(PdesError, match=f"{name}='{value}' is not an integer"):
         PdesWorld(4, workers=2)
 
 
@@ -75,7 +77,6 @@ def test_tiny_ring_spills_but_stays_bit_identical():
     serial = YgmWorld(8, scheme="nlnr", seed=1, cores_per_node=2).run(bursty)
     engine = PdesWorld(
         8, scheme="nlnr", seed=1, cores_per_node=2, workers=2,
-        transport="shm",  # the ring is what spills
         ring_bytes=4096,  # far below one window's traffic
     )
     parallel = engine.run(bursty)
@@ -102,10 +103,7 @@ def flood(ctx):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
-def test_mutual_spills_in_one_round_neither_deadlock_nor_lose(
-    transport, workers
-):
+def test_mutual_spills_in_one_round_neither_deadlock_nor_lose(workers):
     # A NIC fast enough to put several packets per node on the wire in
     # one lookahead window.
     machine = bench_machine(
@@ -114,13 +112,10 @@ def test_mutual_spills_in_one_round_neither_deadlock_nor_lose(
     serial = YgmWorld(machine, scheme="noroute", seed=3).run(flood)
     engine = PdesWorld(
         machine, scheme="noroute", seed=3, workers=workers,
-        transport=transport, ring_bytes=4096, window_timeout=60.0,
-        flight=True,
+        ring_bytes=4096, window_timeout=60.0, flight=True,
     )
     parallel = engine.run(flood)  # a stall would raise PdesStallError
     assert_equivalent(parallel, serial)
-    if transport == "pipe":
-        return  # no rings: every batch rides its frame anyway
     rows = [snap["rows"] for snap in engine.flight_log.workers]
 
     def spilled(p, i):

@@ -119,7 +119,7 @@ def test_rule_is_deterministic_through_the_shared_segment(ex, k, adapt):
     n = len(headers)
     first = window_rule(headers, L, k, adapt)
     assert repr(window_rule(list(headers), L, k, adapt)) == repr(first)
-    seg = ShmTransport(n, ring_bytes=4096, with_rings=False)
+    seg = ShmTransport(n, ring_bytes=4096)
     try:
         for p, h in enumerate(headers):
             seg.publish(p, (h.seq, *h[1:8], *h.arrivals))
@@ -134,7 +134,7 @@ def test_rule_is_deterministic_through_the_shared_segment(ex, k, adapt):
 def test_stale_round_header_is_refused_naming_its_partition():
     # Exchange 3 reads the odd-parity slots; partition 1's still holds
     # its header of exchange 1, so the rule must not run on it.
-    seg = ShmTransport(2, ring_bytes=4096, with_rings=False)
+    seg = ShmTransport(2, ring_bytes=4096)
     try:
         fields = (INF, 1, INF, 0.0, 0, 0, 0, INF, INF)
         seg.publish(0, (3, *fields))

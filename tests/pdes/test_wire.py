@@ -1,18 +1,19 @@
-"""The pickle-free wire codec round-trips export batches exactly.
+"""The wire codec round-trips export batches exactly.
 
 Every payload shape the mailbox can put on a packet -- columnar runs
 (int, float and object payload columns), mixed coalescing-entry lists,
-scalar objects, bytearrays -- must survive ``encode_batch`` ->
-``decode_batch`` with exact types and values, because the decoded
-packets re-enter the serial kernel and any drift breaks bit-identity.
-The corruption checks at the bottom prove a mispaired or truncated
-batch fails loudly instead of delivering wrong traffic.
+scalar objects, bytearrays, and values serde refuses (the pickled
+envelope) -- must survive ``encode_batch`` -> ``decode_batch`` with
+exact types and values, because the decoded packets re-enter the serial
+kernel and any drift breaks bit-identity.  The corruption checks at the
+bottom prove a mispaired or truncated batch fails loudly instead of
+delivering wrong traffic.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.coalescing import BatchEntry, BcastEntry, P2PColumns, P2PEntry
+from repro.core.coalescing import BatchEntry, BcastEntry, P2PColumns
 from repro.mpi.envelope import Packet
 from repro.pdes import WireError, decode_batch, encode_batch
 
@@ -126,7 +127,6 @@ def test_decoded_column_slices_are_independently_mutable():
 def test_mixed_entry_list_roundtrips():
     dtype = np.dtype([("u", np.int64), ("v", np.int64)])
     entries = [
-        P2PEntry(dest=5, payload=("x", 3), nbytes=17, lin=9),
         BcastEntry(origin=2, payload=b"abc", nbytes=3),
         BatchEntry(
             np.array([6, 7], dtype=np.int64),
@@ -141,12 +141,11 @@ def test_mixed_entry_list_roundtrips():
     pkt = Packet(src=0, dst=1, ctx=3, kind="k", tag=7,
                  payload=entries, nbytes=99)
     ((*_, back),) = roundtrip([(1.0, 0, 1, 99, pkt)])
-    p2p, bcast, batch, cols = back.payload
-    assert (p2p.dest, p2p.payload, p2p.nbytes, p2p.lin) == (5, ("x", 3), 17, 9)
+    bcast, batch, cols = back.payload
     assert (bcast.origin, bcast.payload, bcast.nbytes) == (2, b"abc", 3)
-    np.testing.assert_array_equal(batch.batch, entries[2].batch)
+    np.testing.assert_array_equal(batch.batch, entries[1].batch)
     assert batch.batch.dtype == dtype
-    assert_cols_equal(entries[3], cols)
+    assert_cols_equal(entries[2], cols)
 
 
 @pytest.mark.parametrize(
@@ -205,14 +204,50 @@ def test_divergent_envelope_takes_the_seven_tuple_fallback():
     assert (back.src, back.dst, back.nbytes) == (9, 8, 7)  # the packet
 
 
-def test_unpackable_payload_raises_wire_error_naming_the_escape_hatch():
-    class Opaque:
-        pass
+class Opaque:
+    """A value serde refuses: it crosses as a pickled envelope."""
 
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return type(other) is Opaque and other.value == self.value
+
+
+def test_opaque_packet_payload_roundtrips_in_an_envelope():
     pkt = Packet(src=0, dst=1, ctx=0, kind="k", tag=0,
-                 payload=Opaque(), nbytes=4)
-    with pytest.raises(WireError, match="PDES_TRANSPORT=pipe"):
-        encode_batch([(1.0, 0, 1, 4, pkt)], bytearray())
+                 payload=Opaque([1, "x"]), nbytes=4)
+    ((*_, back),) = roundtrip([(1.0, 0, 1, 4, pkt)])
+    assert back == pkt
+
+
+def test_opaque_values_in_an_object_column_roundtrip():
+    exp = cols_packet([1, Opaque(2), "three", Opaque(None)])
+    ((*_, pkt),) = roundtrip([exp])
+    assert_cols_equal(exp[4].payload[0], pkt.payload[0])
+
+
+def test_opaque_bcast_payload_roundtrips_in_an_entry_list():
+    entries = [
+        BcastEntry(origin=2, payload=Opaque("b"), nbytes=3, lin=4),
+        BcastEntry(origin=3, payload=b"abc", nbytes=3),
+    ]
+    pkt = Packet(src=0, dst=1, ctx=3, kind="k", tag=7,
+                 payload=entries, nbytes=22)
+    ((*_, back),) = roundtrip([(1.0, 0, 1, 22, pkt)])
+    assert [(e.origin, e.payload, e.nbytes, e.lin) for e in back.payload] == [
+        (2, Opaque("b"), 3, 4), (3, b"abc", 3, None),
+    ]
+
+
+def test_opaque_value_nested_in_a_tuple_roundtrips():
+    # serde writes the tuple header and both ints before it meets the
+    # Opaque; the envelope must replace those bytes, not follow them.
+    first = cols_packet([(1, 2, Opaque(3)), 4], t=1.0)
+    second = cols_packet([5, 6], t=2.0)
+    back = roundtrip([first, second])
+    assert_cols_equal(first[4].payload[0], back[0][4].payload[0])
+    assert_cols_equal(second[4].payload[0], back[1][4].payload[0])
 
 
 def test_mispaired_side_stream_is_detected():

@@ -1,4 +1,4 @@
-"""The hot-path lint guards the columnar refactor against regressions."""
+"""The hot-path lint guards the columnar pipeline against regressions."""
 
 import subprocess
 import sys
@@ -37,9 +37,11 @@ def test_flags_entry_construction_outside_allowlist(tmp_path):
         tmp_path,
         "class Mailbox:\n"
         "    def post(self, dest):\n"
-        "        e = P2PEntry(dest, None, 0)\n"  # allowed boundary
+        "        e = BcastEntry(dest, None, 0)\n"  # violation: scalar post
+        "    def post_bcast(self, payload):\n"
+        "        e = BcastEntry(0, payload, 0)\n"  # allowed boundary
         "    def _bin_columns(self, dests):\n"
-        "        return [P2PEntry(d, None, 0) for d in dests]\n"  # violation
+        "        return [BcastEntry(d, None, 0) for d in dests]\n"  # violation
         "    def _handle_packet(self, pkt):\n"
         "        b = BcastEntry(0, None, 0)\n"  # allowed boundary
         "        def helper():\n"
@@ -47,9 +49,10 @@ def test_flags_entry_construction_outside_allowlist(tmp_path):
     )
     violations = hotpath_lint.lint(root)
     sites = [(qual, name) for _f, _line, qual, name in violations]
-    assert ("Mailbox._bin_columns", "P2PEntry") in sites
+    assert ("Mailbox.post", "BcastEntry") in sites
+    assert ("Mailbox._bin_columns", "BcastEntry") in sites
     assert ("Mailbox._handle_packet.helper", "BcastEntry") in sites
-    assert len(violations) == 2
+    assert len(violations) == 3
 
 
 def test_attribute_qualified_construction_is_caught(tmp_path):
@@ -57,22 +60,23 @@ def test_attribute_qualified_construction_is_caught(tmp_path):
         tmp_path,
         "from repro.core import coalescing\n"
         "def flush():\n"
-        "    return coalescing.P2PEntry(0, None, 0)\n",
+        "    return coalescing.BcastEntry(0, None, 0)\n",
     )
     ((_f, _line, qual, name),) = hotpath_lint.lint(root)
-    assert (qual, name) == ("flush", "P2PEntry")
+    assert (qual, name) == ("flush", "BcastEntry")
 
 
-def _write_pdes_tree(tmp_path, wire_src):
+def _write_pdes_tree(tmp_path, src, name="wire.py"):
     root = tmp_path / "repo"
     pkg = root / "src" / "repro" / "pdes"
     pkg.mkdir(parents=True)
-    (pkg / "wire.py").write_text(wire_src)
+    (pkg / name).write_text(src)
     return root
 
 
 def test_flags_pickle_import_in_pdes_export_path(tmp_path):
-    root = _write_pdes_tree(tmp_path, "import pickle\n")
+    # wire.py may import pickle for its envelope; the engine may not.
+    root = _write_pdes_tree(tmp_path, "import pickle\n", name="engine.py")
     ((_f, _line, qual, what),) = hotpath_lint.lint(root)
     assert (qual, what) == ("<module>", "import pickle")
 
@@ -106,7 +110,7 @@ def test_pickle_rule_ignores_files_outside_export_path(tmp_path):
 
 
 def test_cli_reports_pickle_violation(tmp_path):
-    root = _write_pdes_tree(tmp_path, "import pickle\n")
+    root = _write_pdes_tree(tmp_path, "import pickle\n", name="engine.py")
     proc = subprocess.run(
         [
             sys.executable,
@@ -124,7 +128,7 @@ def test_cli_reports_pickle_violation(tmp_path):
 def test_cli_reports_violations_and_exits_nonzero(tmp_path):
     root = _write_tree(
         tmp_path,
-        "def rebin():\n    return P2PEntry(0, None, 0)\n",
+        "def rebin():\n    return BcastEntry(0, None, 0)\n",
     )
     proc = subprocess.run(
         [
@@ -137,7 +141,7 @@ def test_cli_reports_violations_and_exits_nonzero(tmp_path):
         text=True,
     )
     assert proc.returncode == 1
-    assert "P2PEntry() constructed in rebin" in proc.stderr
+    assert "BcastEntry() constructed in rebin" in proc.stderr
 
 
 def _write_combiner_tree(tmp_path, combiner_src):
@@ -321,7 +325,7 @@ def test_flags_object_serialization_on_the_exchange_only(tmp_path):
         "from multiprocessing.reduction import ForkingPickler\n"
         "class PartitionRuntime:\n"
         "    def serialize_exports(self):\n"
-        "        return ForkingPickler.dumps([])\n"  # pipe transport: fine
+        "        return ForkingPickler.dumps([])\n"  # file-level pickle rule
         "    def push_exports(self):\n"
         "        return ForkingPickler.dumps([])\n"  # violation
         "    def next_window(self):\n"
@@ -339,22 +343,35 @@ def test_flags_object_serialization_on_the_exchange_only(tmp_path):
         ("rings.py", "PeerLinks.post", "exchange pickle loads"),
         ("rings.py", "PeerLinks.post", "import pickle"),
         ("rings.py", "PeerLinks.post", "pickle.loads"),
+        ("worker.py", "<module>",
+         "from multiprocessing.reduction import ForkingPickler"),
         ("worker.py", "PartitionRuntime.next_window", "exchange pickle send"),
         ("worker.py", "PartitionRuntime.push_exports", "ForkingPickler.dumps"),
         ("worker.py", "PartitionRuntime.push_exports", "exchange pickle dumps"),
+        ("worker.py", "PartitionRuntime.serialize_exports",
+         "ForkingPickler.dumps"),
     ]
 
 
 def test_pickler_classes_flagged_outside_the_allowed_sites(tmp_path):
     root = _write_worker_tree(
         tmp_path,
-        "from multiprocessing.reduction import ForkingPickler\n"  # allowed
+        "from multiprocessing.reduction import ForkingPickler\n"
         "class PartitionRuntime:\n"
         "    def _fetch(self, q, desc):\n"
-        "        return ForkingPickler.loads(desc[1])\n"  # allowed
+        "        return ForkingPickler.loads(desc[1])\n"
         "    def result(self):\n"
-        "        return ForkingPickler.dumps(self.log)\n",  # not listed
+        "        return ForkingPickler.dumps(self.log)\n",
         "",
+    )
+    (root / "src" / "repro" / "pdes" / "wire.py").write_text(
+        "import pickle\n"  # allowed: the envelope's import
+        "def _pack_obj(out, obj):\n"
+        "    out += pickle.dumps(obj)\n"  # allowed: the envelope dump
+        "def _unpack_obj(buf, pos):\n"
+        "    return pickle.loads(buf), pos\n"  # allowed: the envelope load
+        "def encode_batch(exports, out):\n"
+        "    out += pickle.dumps(exports)\n"  # not listed
     )
     (root / "src" / "repro" / "pdes" / "engine.py").write_text(
         "from multiprocessing import reduction\n"
@@ -369,6 +386,10 @@ def test_pickler_classes_flagged_outside_the_allowed_sites(tmp_path):
     assert found == [
         ("engine.py", "<module>", "from pickle import ..."),
         ("engine.py", "spawn", "ForkingPickler"),
+        ("wire.py", "encode_batch", "pickle.dumps"),
+        ("worker.py", "<module>",
+         "from multiprocessing.reduction import ForkingPickler"),
+        ("worker.py", "PartitionRuntime._fetch", "ForkingPickler.loads"),
         ("worker.py", "PartitionRuntime.result", "ForkingPickler.dumps"),
     ]
 

@@ -1,28 +1,27 @@
 #!/usr/bin/env python
 """Hot-path lint: no per-message entry objects in the columnar fast path.
 
-PR 6 moved the injection -> coalescing -> packet -> delivery pipeline to
-struct-of-arrays columns (``P2PColumns``); per-message ``P2PEntry`` /
-``BcastEntry`` objects are only allowed at *handler boundaries* -- the
-object-path fallback in ``Mailbox.post``, broadcast injection in
-``Mailbox.post_bcast``, and broadcast re-forwarding in
+The injection -> coalescing -> packet -> delivery pipeline moves scalar
+messages as struct-of-arrays columns (``P2PColumns``); a per-message
+``BcastEntry`` object is only allowed at the *handler boundaries* of
+broadcasts -- injection in ``Mailbox.post_bcast`` and re-forwarding in
 ``Mailbox._handle_packet``.  Anywhere else in the mailbox or coalescing
 layers, constructing one silently reintroduces the per-message
-allocation cost the columnar refactor removed -- results stay correct,
+allocation cost the columnar layout removed -- results stay correct,
 so only this lint catches the regression.
 
 PR 8 added a second rule for the PDES export path: the shared-memory
 ring transport (``repro.pdes.rings`` / ``wire`` / ``worker`` /
 ``engine``) moves export batches through the serde-based columnar wire
-codec, and ``pickle`` must never reappear there -- no ``import pickle``
+codec, and ``pickle`` must not spread there -- no ``import pickle``
 and no ``pickle.dumps`` / ``pickle.loads`` calls.  (Pickling
 *implicitly* through ``Connection.send`` is fine; an explicit
 ``pickle`` use in these modules means someone put a Python-object
 serializer back on the hot path.)  The pickler classes count too
-(``ForkingPickler`` / ``Pickler`` / ``Unpickler``, imported or used),
-except at the sites listed in ``PICKLE_ALLOWED_SITES``: the pipe
-transport pickles each batch once in the worker's serialize phase and
-unpickles it once in its import phase, openly.  Results stay
+(``ForkingPickler`` / ``Pickler`` / ``Unpickler``, imported or used).
+The one exception is ``PICKLE_ALLOWED_SITES``: the wire codec's
+envelope for a payload value serde refuses -- its import, the dump in
+``_pack_obj`` and the load in ``_unpack_obj``.  Results stay
 bit-identical either way, so again only this lint catches it.
 
 PR 9 added a third rule for the in-network combining pass
@@ -48,8 +47,7 @@ publish/read, peer frames (post/gather), ring push/pop, the window rule
 and the worker's exchange phases -- and a fifth rule keeps that
 exchange free of Python-object serialization: no ``dumps``/``loads``
 (``ForkingPickler`` included) and no ``Connection.send``/``recv``,
-which pickle implicitly.  The pipe transport pickles its batches only
-in the worker's serialize and import phases, never on the exchange.
+which pickle implicitly.
 
 Usage::
 
@@ -66,7 +64,7 @@ import sys
 from pathlib import Path
 
 #: Entry classes that must not be built per-message on the fast path.
-FORBIDDEN = {"P2PEntry", "BcastEntry"}
+FORBIDDEN = {"BcastEntry"}
 
 #: Files that make up the batch fast path, relative to the repo root.
 HOT_FILES = (
@@ -75,9 +73,8 @@ HOT_FILES = (
 )
 
 #: ``(file, qualname)`` sites where per-message objects are legitimate:
-#: the handler-boundary fallbacks of the object path.
+#: the broadcast handler boundaries.
 ALLOWED_SITES = {
-    ("src/repro/core/mailbox.py", "Mailbox.post"),
     ("src/repro/core/mailbox.py", "Mailbox.post_bcast"),
     ("src/repro/core/mailbox.py", "Mailbox._handle_packet"),
 }
@@ -91,17 +88,14 @@ PICKLE_FREE_FILES = (
     "src/repro/pdes/engine.py",
 )
 
-#: ``(file, qualname, use)`` sites where a pickler is legitimate in a
-#: :data:`PICKLE_FREE_FILES` module: the pipe transport's one pickle per
-#: batch (serialize phase), one unpickle per batch (import phase) and
-#: the import they need.
+#: ``(file, qualname, use)`` sites where pickle is legitimate in a
+#: :data:`PICKLE_FREE_FILES` module: the wire codec's envelope for a
+#: payload value serde refuses (dumped in ``_pack_obj``, loaded in
+#: ``_unpack_obj``) and the import they need.
 PICKLE_ALLOWED_SITES = {
-    ("src/repro/pdes/worker.py", "<module>",
-     "from multiprocessing.reduction import ForkingPickler"),
-    ("src/repro/pdes/worker.py", "PartitionRuntime.serialize_exports",
-     "ForkingPickler.dumps"),
-    ("src/repro/pdes/worker.py", "PartitionRuntime._fetch",
-     "ForkingPickler.loads"),
+    ("src/repro/pdes/wire.py", "<module>", "import pickle"),
+    ("src/repro/pdes/wire.py", "_pack_obj", "pickle.dumps"),
+    ("src/repro/pdes/wire.py", "_unpack_obj", "pickle.loads"),
 }
 
 #: Files whose loops may only iterate per-*field*, never per-record.
@@ -453,16 +447,15 @@ def main(argv=None) -> int:
             print(
                 f"{relpath}:{lineno}: {name[len('exchange pickle '):]}() "
                 f"called in {qualname} -- the mesh exchange (headers, peer "
-                f"frames, ring push/pop) moves bytes only; the pipe "
-                f"transport pickles in the serialize/import phases",
+                f"frames, ring push/pop) moves bytes only",
                 file=sys.stderr,
             )
         elif "pickle" in name.lower():
             print(
                 f"{relpath}:{lineno}: {name} in {qualname} -- the PDES "
                 f"export path must stay pickle-free (encode through "
-                f"repro.pdes.wire; the pipe transport pickles only at "
-                f"PICKLE_ALLOWED_SITES)",
+                f"repro.pdes.wire; only its envelope for values serde "
+                f"refuses pickles, at PICKLE_ALLOWED_SITES)",
                 file=sys.stderr,
             )
         else:
